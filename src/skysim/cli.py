@@ -145,6 +145,18 @@ def _default_w0(value):
     return DEFAULT_WAIST
 
 
+def _check_screen_flags(args, parser) -> None:
+    from skysim.turbulence import _SUBHARMONIC_LEVELS_MAX
+
+    if args.n_screens < 1:
+        parser.error(f"--n-screens: need at least 1 screen, got {args.n_screens}")
+    if not 0 <= args.n_subharmonics <= _SUBHARMONIC_LEVELS_MAX:
+        parser.error(
+            f"--n-subharmonics: must be in [0, {_SUBHARMONIC_LEVELS_MAX}], "
+            f"got {args.n_subharmonics}"
+        )
+
+
 def _cmd_screens(args, parser) -> int:
     from skysim.experiments import derive_seed
     from skysim.modes import make_grid
@@ -155,6 +167,7 @@ def _cmd_screens(args, parser) -> int:
         write_screen,
     )
 
+    _check_screen_flags(args, parser)
     w0 = _default_w0(args.w0)
     grid = make_grid(args.n, args.extent_factor * w0)
     r0 = omega_to_fried(args.omega, args.ell, w0)
@@ -211,6 +224,7 @@ def _cmd_calibrate(args, parser) -> int:
     from skysim.experiments import run_calibration
 
     omegas = _parse_omegas(args.omegas, parser)
+    _check_screen_flags(args, parser)
     result = run_calibration(
         omegas,
         n_screens=args.n_screens,

@@ -526,8 +526,12 @@ def run_calibration(
     For each strength, propagates the zero-index mode through fresh
     screens and accumulates the output spectrum over indices within
     +-window. Returns spectra and survival tables ready for CSV export.
+    Raises ValueError for fewer than one screen per strength.
     """
     from skysim.channel import crosstalk_amplitude, survival_probability_analytic
+
+    if n_screens < 1:
+        raise ValueError(f"need at least one screen per strength, got {n_screens}")
 
     grid = make_grid(grid_n, extent_factor * w0)
     ells = list(range(-window, window + 1))

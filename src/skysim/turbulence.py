@@ -11,7 +11,12 @@ with f in cycles per metre. An FFT screen alone misses power below the
 fundamental 1/(n*dx), which wrecks the structure function at large
 separations, so five levels of 3x3 subharmonic patches are layered on
 top, each refining the central cell of the previous level by a factor of
-three in frequency.
+three in frequency (Lane, Glindemann & Dainty, Waves Random Media 2, 209,
+1992). Every patch cell is a plane wave that factors into an x and a y
+exponential, so all levels together are evaluated as one separable
+product Re(E C E^T): E holds the n x 3L exponentials of the grid
+coordinates at the 3L patch frequencies, and C is block diagonal with one
+3 x 3 block of cell coefficients per level.
 
 Two refinements matter for quantitative agreement with the 6.88
 (r/r0)**(5/3) structure-function law. First, near the origin the
@@ -152,6 +157,11 @@ class PhaseScreen:
 def generate_screen(spec: TurbulenceSpec) -> PhaseScreen:
     """Generate one phase screen in radians.
 
+    The FFT screen is completed by the subharmonic patches, summed as
+    one separable matrix product over all levels; the random draws are
+    consumed in the documented order (FFT block, then one complex pair
+    per patch cell, level by level, central cells included).
+
     Raises SamplingError when the grid cannot resolve r0 (r0 < 2*dx);
     such a screen would alias most of its power.
     """
@@ -178,9 +188,9 @@ def generate_screen(spec: TurbulenceSpec) -> PhaseScreen:
     gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     screen = np.real(np.fft.ifft2(gauss * amp)) * n * n
 
-    coords = (np.arange(n) - n / 2) * dx
-    X, Y = np.meshgrid(coords, coords, indexing="xy")
-    for m in range(1, spec.n_subharmonics + 1):
+    levels = spec.n_subharmonics
+    coeff = np.zeros((3 * levels, 3 * levels), dtype=complex)
+    for m in range(1, levels + 1):
         dfm = df / 3.0**m
         for i in (-1, 0, 1):
             for j in (-1, 0, 1):
@@ -192,9 +202,14 @@ def generate_screen(spec: TurbulenceSpec) -> PhaseScreen:
                     * dfm**2
                     * _subharmonic_weight(i, j)
                 )
-                screen = screen + np.real(
-                    np.sqrt(a2) * g * np.exp(2j * np.pi * (i * dfm * X + j * dfm * Y))
-                )
+                # row: y frequency j*dfm; column: x frequency i*dfm
+                coeff[3 * m - 2 + j, 3 * m - 2 + i] = np.sqrt(a2) * g
+
+    coords = (np.arange(n) - n / 2) * dx
+    freqs = np.outer(df / 3.0 ** np.arange(1, levels + 1), (-1, 0, 1)).ravel()
+    waves = np.exp(2j * np.pi * np.outer(coords, freqs))
+    a = waves @ coeff
+    screen += a.real @ waves.real.T - a.imag @ waves.imag.T
 
     return PhaseScreen(spec=spec, phase=screen - screen.mean())
 

@@ -47,6 +47,28 @@ class TestExitCodes:
         assert err.value.code == 1
         assert "--omegas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["screens", "calibrate"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--n-screens", "0"),
+            ("--n-screens", "-1"),
+            ("--n-subharmonics", "-1"),
+            ("--n-subharmonics", "9"),
+        ],
+    )
+    def test_out_of_range_screen_flag_names_flag(
+        self, command, flag, value, tmp_path, capsys
+    ):
+        argv = [command, flag, value, "--out", str(tmp_path / "out")]
+        if command == "screens":
+            argv += ["--omega", "1.0", "--n", "16"]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_runtime_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["run", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)],

@@ -218,6 +218,11 @@ class TestCalibration:
         total = sum(row[2] for row in out["spectra"])
         assert 0.9 <= total <= 1.0 + 1e-6
 
+    @pytest.mark.parametrize("n_screens", [0, -1])
+    def test_no_screens_rejected(self, n_screens):
+        with pytest.raises(ValueError, match="at least one screen"):
+            run_calibration((0.5,), n_screens=n_screens, grid_n=64)
+
 
 class TestFluctuationBounds:
     def test_orders_and_brackets_identical_ensemble(self):

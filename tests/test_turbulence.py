@@ -5,8 +5,11 @@ import pytest
 
 from skysim.modes import Grid2D, SamplingError, make_grid
 from skysim.turbulence import (
+    _WEIGHT_RADIUS,
     PhaseScreen,
     TurbulenceSpec,
+    _base_weight,
+    _subharmonic_weight,
     generate_screen,
     kolmogorov_psd,
     omega_to_fried,
@@ -112,6 +115,67 @@ class TestGenerateScreen:
             TurbulenceSpec(r0=1.0, grid=grid, seed=0, n_subharmonics=9)
         with pytest.raises(ValueError):
             TurbulenceSpec(r0=1.0, grid=grid, seed=-1)
+
+
+def loop_screen(spec):
+    """Reference generator: the subharmonic patches summed one full-grid
+    complex exponential per cell, in the documented draw order."""
+    n, dx, r0 = spec.grid.n, spec.grid.dx, spec.r0
+    rng = np.random.default_rng(spec.seed)
+    df = 1.0 / (n * dx)
+
+    idx = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    M1, M2 = np.meshgrid(idx, idx, indexing="xy")
+    F = np.hypot(M1 * df, M2 * df)
+    amp = np.zeros_like(F)
+    nz = F > 0
+    amp[nz] = np.sqrt(kolmogorov_psd(F[nz], r0)) * df
+    for a in range(-_WEIGHT_RADIUS, _WEIGHT_RADIUS + 1):
+        for b in range(-_WEIGHT_RADIUS, _WEIGHT_RADIUS + 1):
+            if (a, b) != (0, 0):
+                amp[b % n, a % n] *= np.sqrt(_base_weight(a, b))
+
+    gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    screen = np.real(np.fft.ifft2(gauss * amp)) * n * n
+
+    coords = (np.arange(n) - n / 2) * dx
+    X, Y = np.meshgrid(coords, coords, indexing="xy")
+    for m in range(1, spec.n_subharmonics + 1):
+        dfm = df / 3.0**m
+        for i in (-1, 0, 1):
+            for j in (-1, 0, 1):
+                g = rng.standard_normal() + 1j * rng.standard_normal()
+                if i == 0 and j == 0:
+                    continue
+                a2 = (
+                    kolmogorov_psd(np.hypot(i * dfm, j * dfm), r0)
+                    * dfm**2
+                    * _subharmonic_weight(i, j)
+                )
+                screen = screen + np.real(
+                    np.sqrt(a2) * g * np.exp(2j * np.pi * (i * dfm * X + j * dfm * Y))
+                )
+    return screen - screen.mean()
+
+
+class TestSeparableSubharmonics:
+    """generate_screen against the per-cell loop it replaced."""
+
+    @pytest.mark.parametrize("n", [16, 128, 256])
+    @pytest.mark.parametrize("levels", [0, 1, 5, 8])
+    @pytest.mark.parametrize("r0", [4.0, np.inf])
+    def test_matches_loop(self, n, levels, r0):
+        for seed in (0, 1, 20260):
+            spec = TurbulenceSpec(
+                r0=r0, grid=Grid2D(n=n, dx=1.0), seed=seed, n_subharmonics=levels
+            )
+            got = generate_screen(spec).phase
+            want = loop_screen(spec)
+            if levels == 0:
+                assert np.array_equal(got, want)
+            else:
+                scale = np.abs(want).max()
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
 
 class TestStructureFunction:
