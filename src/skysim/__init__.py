@@ -77,7 +77,6 @@ from skysim.experiments import (
     config_hash,
     config_to_json,
     derive_seed,
-    fluctuation_bounds,
     run,
     run_calibration,
     run_ensemble,

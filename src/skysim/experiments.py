@@ -6,6 +6,11 @@ canonical config JSON into the output directory name, deriving every
 random seed from the (master seed, state, strength, realisation)
 coordinates, and writing a manifest of artifact content hashes last.
 
+Static and ensemble runs share one sweep loop. Every realisation is
+realised (screen, tomography, reconstruction) and written; a static run
+then evaluates each one (witnesses, wrapping number), while an ensemble
+run evaluates only the average of each strength's realisations.
+
 Turbulence strengths are converted to Fried parameters with the
 fundamental-mode convention throughout the sweeps.
 """
@@ -16,6 +21,7 @@ import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +53,6 @@ __all__ = [
     "run_static",
     "run_ensemble",
     "run_calibration",
-    "fluctuation_bounds",
     "write_manifest",
 ]
 
@@ -187,102 +192,106 @@ class _TaskResult:
     omega: float
     realisation: int
     rho: DensityMatrix4 | None = None
+    record_doc: dict | None = None
+    renormalization: float | None = None
     report: WitnessReport | None = None
     skyrmion: float | None = None
     sky_details: dict | None = None
-    record_doc: dict | None = None
-    renormalization: float | None = None
     error: str | None = None
 
 
-def _run_single(
+def _realise(
+    res: _TaskResult,
     config: RunConfig,
-    state_id: str,
     state: BipartitePureState,
     state_idx: int,
-    omega: float,
     omega_idx: int,
-    k: int,
     grid: Grid2D,
+) -> None:
+    """Screen, tomography and reconstruction: fill in res.rho and its record."""
+    k = res.realisation
+    screen_seed = derive_seed(config.master_seed, state_idx, omega_idx, k)
+    r0 = omega_to_fried(res.omega, 0, config.w0)
+    screen = generate_screen(
+        TurbulenceSpec(
+            r0=r0,
+            grid=grid,
+            seed=screen_seed,
+            n_subharmonics=config.n_subharmonics,
+        )
+    )
+    counts_seed = derive_seed(config.master_seed, state_idx, omega_idx, k, stream=1)
+    record = simulate_tomography(
+        state,
+        screen=screen,
+        w0=config.w0,
+        count_model=config.count_model,
+        seed=counts_seed,
+        state_id=res.state_id,
+        omega=res.omega,
+    )
+    res.record_doc = record_to_json(record)
+    if config.use_tomography:
+        rho, diag = reconstruct_density(record, return_diagnostics=True)
+        res.renormalization = diag["renormalization"]
+    else:
+        channel = effective_channel(state, screen, config.w0)
+        amps = state.branch_amplitudes
+        psi = np.kron(np.eye(2), channel) @ np.array([amps[0], 0, 0, amps[1]])
+        psi = psi / np.linalg.norm(psi)
+        rho = DensityMatrix4(np.outer(psi, psi.conj()))
+    res.rho = rho
+
+
+def _evaluate(
+    res: _TaskResult,
+    state: BipartitePureState,
+    grid: Grid2D,
+    w0: float,
     target: DensityMatrix4,
     discord_ref: float,
-) -> _TaskResult:
-    out = _TaskResult(state_id=state_id, omega=omega, realisation=k)
-    try:
-        screen_seed = derive_seed(config.master_seed, state_idx, omega_idx, k)
-        r0 = omega_to_fried(omega, 0, config.w0)
-        screen = generate_screen(
-            TurbulenceSpec(
-                r0=r0,
-                grid=grid,
-                seed=screen_seed,
-                n_subharmonics=config.n_subharmonics,
-            )
-        )
-        counts_seed = derive_seed(config.master_seed, state_idx, omega_idx, k, stream=1)
-        record = simulate_tomography(
-            state,
-            screen=screen,
-            w0=config.w0,
-            count_model=config.count_model,
-            seed=counts_seed,
-            state_id=state_id,
-            omega=omega,
-        )
-        out.record_doc = record_to_json(record)
-        if config.use_tomography:
-            rho, diag = reconstruct_density(record, return_diagnostics=True)
-            out.renormalization = diag["renormalization"]
-        else:
-            channel = effective_channel(state, screen, config.w0)
-            amps = state.branch_amplitudes
-            psi = np.kron(np.eye(2), channel) @ np.array([amps[0], 0, 0, amps[1]])
-            psi = psi / np.linalg.norm(psi)
-            rho = DensityMatrix4(np.outer(psi, psi.conj()))
-        out.rho = rho
-        out.report = evaluate_witnesses(rho, target, discord_reference=discord_ref)
-        number, details = skyrmion_number(
-            rho, state, grid, config.w0, return_details=True
-        )
-        out.skyrmion = number
-        out.sky_details = details
-    except Exception as exc:  # noqa: BLE001 - failures become artifacts
-        out.error = f"{type(exc).__name__}: {exc}"
-    return out
+) -> None:
+    """Witnesses, then the wrapping number, of res.rho."""
+    res.report = evaluate_witnesses(res.rho, target, discord_reference=discord_ref)
+    res.skyrmion, res.sky_details = skyrmion_number(
+        res.rho, state, grid, w0, return_details=True
+    )
 
 
-def _result_doc(res: _TaskResult) -> dict:
-    if res.error is not None:
-        return {
-            "state": res.state_id,
-            "omega": res.omega,
-            "realisation": res.realisation,
-            "error": res.error,
-            "incomplete": True,
-        }
-    rep = res.report
+def _witness_doc(rep: WitnessReport) -> dict:
+    return {
+        "concurrence": rep.concurrence,
+        "fidelity": rep.fidelity,
+        "purity": rep.purity,
+        "mutual_information": rep.mutual_information,
+        "classical_correlation": rep.classical_correlation,
+        "discord": rep.discord,
+        "discord_normalized": rep.discord_normalized,
+        "diagnostics": rep.diagnostics,
+    }
+
+
+def _skyrmion_doc(res: _TaskResult) -> dict:
     details = dict(res.sky_details)
     details.pop("coverage_profile", None)
-    details["center"] = list(details["center"])
-    return {
-        "state": res.state_id,
-        "omega": res.omega,
-        "realisation": res.realisation,
-        "record": res.record_doc,
-        "renormalization": res.renormalization,
-        "density": density_to_json(res.rho),
-        "witnesses": {
-            "concurrence": rep.concurrence,
-            "fidelity": rep.fidelity,
-            "purity": rep.purity,
-            "mutual_information": rep.mutual_information,
-            "classical_correlation": rep.classical_correlation,
-            "discord": rep.discord,
-            "discord_normalized": rep.discord_normalized,
-            "diagnostics": rep.diagnostics,
-        },
-        "skyrmion": {"number": res.skyrmion, **details},
-    }
+    if "center" in details:
+        details["center"] = list(details["center"])
+    return {"number": res.skyrmion, **details}
+
+
+def _member_doc(res: _TaskResult) -> dict:
+    """One realisation's artifact: an error, or its state and evaluation."""
+    doc = {"state": res.state_id, "omega": res.omega, "realisation": res.realisation}
+    if res.error is not None:
+        return {**doc, "error": res.error, "incomplete": True}
+    doc.update(record=res.record_doc, density=density_to_json(res.rho))
+    if res.report is not None:
+        doc.update(
+            renormalization=res.renormalization,
+            witnesses=_witness_doc(res.report),
+            skyrmion=_skyrmion_doc(res),
+        )
+    return doc
 
 
 def _witness_row(res: _TaskResult) -> list:
@@ -345,6 +354,29 @@ def run_static(config: RunConfig, results_root) -> Path:
     Failed realisations are captured as error artifacts instead of
     aborting the sweep.
     """
+    return _sweep(config, results_root, ensemble=False)
+
+
+def run_ensemble(config: RunConfig, results_root) -> Path:
+    """Average the reconstructed realisations before evaluating.
+
+    Models detection slower than the channel fluctuations: each
+    realisation's record and density are written, but witnesses and
+    the wrapping number are computed only once per strength, on the
+    ensemble-averaged state. A realisation is left out of the average
+    only if its screen, tomography or reconstruction fails. With one
+    realisation this reduces exactly to the static pipeline.
+    """
+    return _sweep(config, results_root, ensemble=True)
+
+
+def _sweep(config: RunConfig, results_root, ensemble: bool) -> Path:
+    """The loop over (state, strength, realisation) behind both modes.
+
+    Each realisation is realised and written. The modes differ only in
+    what they evaluate: a static sweep every realisation, an ensemble
+    sweep only the average of the realisations of each strength.
+    """
     run_dir, cfg_hash = _prepare_run_dir(config, results_root)
     grid = config.grid()
     cat = catalog()
@@ -352,43 +384,95 @@ def run_static(config: RunConfig, results_root) -> Path:
     witness_rows: list[list] = []
     summary_rows: list[list] = []
     coverage_dir = run_dir / "coverage"
-    coverage_dir.mkdir(exist_ok=True)
+    if not ensemble:
+        coverage_dir.mkdir(exist_ok=True)
 
     for state_idx, state_id in enumerate(config.states):
         state = cat[state_id]
         target = DensityMatrix4.from_pure(state)
-        discord_ref = discord(target)
+        evaluate = partial(
+            _evaluate, state=state, grid=grid, w0=config.w0, target=target,
+            discord_ref=discord(target),
+        )
         for omega_idx, omega in enumerate(config.omegas):
             omega_dir = run_dir / state_id / _omega_dirname(omega)
             omega_dir.mkdir(parents=True, exist_ok=True)
-            done: list[_TaskResult] = []
-            coverage_rows: list[list] = []
+            members: list[_TaskResult] = []
             for k in range(config.realisations):
-                res = _run_single(
-                    config, state_id, state, state_idx, omega, omega_idx,
-                    k, grid, target, discord_ref,
-                )
-                _write_json(omega_dir / f"realisation-{k}.json", _result_doc(res))
+                res = _TaskResult(state_id=state_id, omega=omega, realisation=k)
+                try:
+                    _realise(res, config, state, state_idx, omega_idx, grid)
+                    if not ensemble:
+                        evaluate(res)
+                except Exception as exc:  # noqa: BLE001 - failures become artifacts
+                    res.error = f"{type(exc).__name__}: {exc}"
+                _write_json(omega_dir / f"realisation-{k}.json", _member_doc(res))
                 if res.error is not None:
                     incomplete.append(f"{state_id}/{_omega_dirname(omega)}/{k}")
                     continue
-                done.append(res)
-                witness_rows.append(_witness_row(res))
-                profile = res.sky_details["coverage_profile"]
-                for d_idx, (direction, dot) in enumerate(zip(_DIRECTIONS, profile)):
-                    coverage_rows.append([k, d_idx, *direction, float(dot)])
-            summary_rows.append(_summary_row(state_id, omega, done))
-            _write_csv(
-                coverage_dir / f"{state_id}-{_omega_dirname(omega)}.csv",
-                ["realisation", "direction", "x", "y", "z", "max_dot"],
-                coverage_rows,
-            )
+                members.append(res)
+            if not ensemble:
+                evaluated = members
+                _write_coverage(coverage_dir, state_id, omega, members)
+            elif members:
+                mean = _evaluate_average(members, evaluate)
+                _write_json(omega_dir / "ensemble.json", _ensemble_doc(mean, members))
+                evaluated = [mean]
+            else:
+                evaluated = []
+            witness_rows += [_witness_row(r) for r in evaluated]
+            summary_rows.append(_summary_row(state_id, omega, evaluated))
     _write_witness_tables(run_dir, witness_rows, summary_rows)
     write_manifest(run_dir, cfg_hash, incomplete)
     return run_dir
 
 
+def _evaluate_average(members: list[_TaskResult], evaluate) -> _TaskResult:
+    """Average the members and evaluate the mean state.
+
+    A degenerate field leaves the mean without a wrapping number; its
+    witnesses, evaluated first, are kept.
+    """
+    mean = _TaskResult(
+        state_id=members[0].state_id,
+        omega=members[0].omega,
+        realisation=-1,
+        rho=ensemble_average([m.rho for m in members]),
+    )
+    try:
+        evaluate(mean)
+    except DegenerateFieldError as exc:
+        mean.sky_details = {"error": str(exc)}
+    return mean
+
+
+def _ensemble_doc(mean: _TaskResult, members: list[_TaskResult]) -> dict:
+    return {
+        "state": mean.state_id,
+        "omega": mean.omega,
+        "n": len(members),
+        "seeds": [m.record_doc["provenance"]["seed"] for m in members],
+        "density": density_to_json(mean.rho),
+        "purity": mean.report.purity,
+        "witnesses": _witness_doc(mean.report),
+        "skyrmion": _skyrmion_doc(mean),
+    }
+
+
 _DIRECTIONS = fibonacci_sphere()
+
+
+def _write_coverage(coverage_dir, state_id, omega, members):
+    rows = []
+    for res in members:
+        profile = res.sky_details["coverage_profile"]
+        for d_idx, (direction, dot) in enumerate(zip(_DIRECTIONS, profile)):
+            rows.append([res.realisation, d_idx, *direction, float(dot)])
+    _write_csv(
+        coverage_dir / f"{state_id}-{_omega_dirname(omega)}.csv",
+        ["realisation", "direction", "x", "y", "z", "max_dot"],
+        rows,
+    )
 
 
 def _write_witness_tables(run_dir, witness_rows, summary_rows):
@@ -412,103 +496,6 @@ def _write_witness_tables(run_dir, witness_rows, summary_rows):
     for col in _WITNESS_COLUMNS:
         header += [f"{col}_mean", f"{col}_std"]
     _write_csv(run_dir / "summary.csv", header, summary_rows)
-
-
-def run_ensemble(config: RunConfig, results_root) -> Path:
-    """Average the reconstructed realisations before evaluating.
-
-    Models detection slower than the channel fluctuations: witnesses
-    and the wrapping number are computed once per strength, on the
-    ensemble-averaged state. With one realisation this reduces exactly
-    to the static pipeline.
-    """
-    run_dir, cfg_hash = _prepare_run_dir(config, results_root)
-    grid = config.grid()
-    cat = catalog()
-    incomplete: list[str] = []
-    witness_rows: list[list] = []
-    summary_rows: list[list] = []
-
-    for state_idx, state_id in enumerate(config.states):
-        state = cat[state_id]
-        target = DensityMatrix4.from_pure(state)
-        discord_ref = discord(target)
-        for omega_idx, omega in enumerate(config.omegas):
-            omega_dir = run_dir / state_id / _omega_dirname(omega)
-            omega_dir.mkdir(parents=True, exist_ok=True)
-            rhos, seeds = [], []
-            for k in range(config.realisations):
-                res = _run_single(
-                    config, state_id, state, state_idx, omega, omega_idx,
-                    k, grid, target, discord_ref,
-                )
-                doc = (
-                    {"error": res.error, "incomplete": True}
-                    if res.error is not None
-                    else {"density": density_to_json(res.rho), "record": res.record_doc}
-                )
-                doc.update({"state": state_id, "omega": omega, "realisation": k})
-                _write_json(omega_dir / f"realisation-{k}.json", doc)
-                if res.error is not None:
-                    incomplete.append(f"{state_id}/{_omega_dirname(omega)}/{k}")
-                    continue
-                rhos.append(res.rho)
-                seeds.append(res.record_doc["provenance"]["seed"])
-            if not rhos:
-                summary_rows.append(_summary_row(state_id, omega, []))
-                continue
-            avg = ensemble_average(rhos)
-            report = evaluate_witnesses(avg, target, discord_reference=discord_ref)
-            try:
-                number, details = skyrmion_number(
-                    avg, state, grid, config.w0, return_details=True
-                )
-                details = dict(details)
-                details.pop("coverage_profile", None)
-                details["center"] = list(details["center"])
-                sky_doc = {"number": number, **details}
-            except DegenerateFieldError as exc:
-                number = None
-                sky_doc = {"number": None, "error": str(exc)}
-            mean = _TaskResult(
-                state_id=state_id,
-                omega=omega,
-                realisation=-1,
-                rho=avg,
-                report=report,
-                skyrmion=number,
-            )
-            _write_json(
-                omega_dir / "ensemble.json",
-                {
-                    "state": state_id,
-                    "omega": omega,
-                    "n": len(rhos),
-                    "seeds": seeds,
-                    "density": density_to_json(avg),
-                    "purity": report.purity,
-                    "witnesses": _result_doc_witnesses(report),
-                    "skyrmion": sky_doc,
-                },
-            )
-            witness_rows.append(_witness_row(mean))
-            summary_rows.append(_summary_row(state_id, omega, [mean]))
-    _write_witness_tables(run_dir, witness_rows, summary_rows)
-    write_manifest(run_dir, cfg_hash, incomplete)
-    return run_dir
-
-
-def _result_doc_witnesses(rep: WitnessReport) -> dict:
-    return {
-        "concurrence": rep.concurrence,
-        "fidelity": rep.fidelity,
-        "purity": rep.purity,
-        "mutual_information": rep.mutual_information,
-        "classical_correlation": rep.classical_correlation,
-        "discord": rep.discord,
-        "discord_normalized": rep.discord_normalized,
-        "diagnostics": rep.diagnostics,
-    }
 
 
 def run_calibration(
@@ -564,30 +551,3 @@ def run_calibration(
             ]
         )
     return {"spectra": spectra_rows, "survival": survival_rows, "window": window}
-
-
-def fluctuation_bounds(rhos: list[DensityMatrix4], quantity) -> tuple[float, float]:
-    """Bounds on a scalar from element-wise envelopes of an ensemble.
-
-    Builds the entry-wise min and max matrices over the realisations,
-    projects each back to a valid state (Hermitize, clamp eigenvalues,
-    renormalize), and evaluates the quantity on both. The return pair
-    is ordered low to high.
-    """
-    if len(rhos) < 2:
-        raise ValueError("need at least two realisations for an envelope")
-    stack = np.array([r.matrix for r in rhos])
-    lo = stack.real.min(axis=0) + 1j * stack.imag.min(axis=0)
-    hi = stack.real.max(axis=0) + 1j * stack.imag.max(axis=0)
-
-    def project(m):
-        m = (m + m.conj().T) / 2
-        w, v = np.linalg.eigh(m)
-        w = np.clip(w, 0.0, None)
-        if w.sum() <= 0:
-            raise ValueError("envelope collapsed to the zero matrix")
-        m = (v * w) @ v.conj().T
-        return DensityMatrix4(m / np.trace(m).real)
-
-    values = sorted([quantity(project(lo)), quantity(project(hi))])
-    return float(values[0]), float(values[1])

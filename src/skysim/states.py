@@ -341,8 +341,6 @@ def _params_to_matrix(x: np.ndarray) -> np.ndarray:
 
 def reconstruct_density(
     record: TomographyRecord,
-    nine_parameter: bool = False,
-    force_iterative: bool = False,
     return_diagnostics: bool = False,
 ):
     """Invert a tomography record to a valid density matrix.
@@ -355,10 +353,6 @@ def reconstruct_density(
     single recorded renormalization. An indefinite linear solution is
     repaired by squaring (rho -> rho.rho / tr), which preserves valid
     solutions that were already positive.
-
-    With nine_parameter=True only the 9 correlation coefficients are
-    fitted and the local Bloch terms are pinned at zero, matching the
-    reduced fit used for phase-symmetric states.
 
     Returns the DensityMatrix4, or (DensityMatrix4, diagnostics dict)
     when return_diagnostics is set.
@@ -383,19 +377,13 @@ def reconstruct_density(
 
     design = _design_matrix()
     target = 4.0 * probs - 1.0
-    if nine_parameter:
-        x9, *_ = np.linalg.lstsq(design[:, 6:], target, rcond=None)
-        x = np.concatenate([np.zeros(6), x9])
-    else:
-        x, *_ = np.linalg.lstsq(design, target, rcond=None)
+    x, *_ = np.linalg.lstsq(design, target, rcond=None)
     residual = float(np.sum((design @ x - target) ** 2))
     diagnostics["linear_residual"] = residual
     diagnostics["method"] = "linear"
 
-    if record.kind == "counts" or force_iterative:
-        x, residual, used = _iterative_refine(
-            design, target, x, residual, record, nine_parameter
-        )
+    if record.kind == "counts":
+        x, residual, used = _iterative_refine(design, target, x, residual, record)
         if used:
             diagnostics["method"] = "iterative"
         diagnostics["iterative_residual"] = residual
@@ -415,22 +403,17 @@ def reconstruct_density(
     return result
 
 
-def _iterative_refine(design, target, x0, res0, record, nine_parameter):
+def _iterative_refine(design, target, x0, res0, record):
     """Multi-start nonlinear least squares seeded from the linear solution."""
     from scipy.optimize import least_squares
 
-    cols = design[:, 6:] if nine_parameter else design
-    start0 = x0[6:] if nine_parameter else x0
-
     def fun(p):
-        return cols @ p - target
+        return design @ p - target
 
     seed = int(record.provenance.get("counts_seed", record.provenance.get("seed", 0)))
     rng = np.random.default_rng(seed + 0x5EED)
-    best_p, best_res = start0, res0
-    starts = [start0] + [
-        start0 + rng.normal(scale=0.05, size=start0.shape) for _ in range(7)
-    ]
+    best_p, best_res = x0, res0
+    starts = [x0] + [x0 + rng.normal(scale=0.05, size=x0.shape) for _ in range(7)]
     improved = False
     for s in starts:
         try:
@@ -440,11 +423,7 @@ def _iterative_refine(design, target, x0, res0, record, nine_parameter):
         res = float(np.sum(sol.fun**2))
         if res < best_res - 1e-15:
             best_p, best_res, improved = sol.x, res, True
-    if nine_parameter:
-        full = np.concatenate([np.zeros(6), best_p])
-    else:
-        full = best_p
-    return full, best_res, improved
+    return best_p, best_res, improved
 
 
 def _complex_pairs(m: np.ndarray) -> list:

@@ -15,14 +15,12 @@ from skysim.experiments import (
     config_hash,
     config_to_json,
     derive_seed,
-    fluctuation_bounds,
     run,
     run_calibration,
     run_ensemble,
     run_static,
 )
-from skysim.states import DensityMatrix4, make_state
-from skysim.witnesses import purity
+import skysim.experiments as experiments
 
 SMALL = RunConfig(
     states=("0_1",),
@@ -199,6 +197,44 @@ class TestEnsembleRun:
         )
         assert np.trace(back).real == pytest.approx(1.0, abs=1e-9)
 
+    def test_member_whose_wrapping_number_would_fail_stays_in_average(self, tmp_path):
+        # Members are never evaluated, so a wrapping number that cannot be
+        # computed for one realisation no longer drops it from the average.
+        cfg = RunConfig(
+            states=("2_3",), omegas=(1.0,), realisations=8, grid_n=128,
+            mode="ensemble",
+        )
+        run_dir = run_ensemble(cfg, tmp_path)
+        doc = json.loads((run_dir / "2_3" / "omega-1.00" / "ensemble.json").read_text())
+        assert doc["n"] == 8
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["incomplete"] == []
+
+    def test_only_the_average_is_evaluated(self, tmp_path, monkeypatch):
+        calls = {"evaluate_witnesses": 0, "skyrmion_number": 0}
+        for name in calls:
+            original = getattr(experiments, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, counted)
+        states, omegas, realisations = ("0_1", "0_m1"), (0.25, 0.5), 3
+        cfg = RunConfig(
+            states=states, omegas=omegas, realisations=realisations,
+            grid_n=128, master_seed=41,
+        )
+        run_ensemble(cfg, tmp_path / "e")
+        pairs = len(states) * len(omegas)
+        assert calls == {"evaluate_witnesses": pairs, "skyrmion_number": pairs}
+        run_static(cfg, tmp_path / "s")
+        per_static = pairs * realisations
+        assert calls == {
+            "evaluate_witnesses": pairs + per_static,
+            "skyrmion_number": pairs + per_static,
+        }
+
 
 class TestCalibration:
     def test_rows_and_quiet_limit(self):
@@ -222,25 +258,3 @@ class TestCalibration:
     def test_no_screens_rejected(self, n_screens):
         with pytest.raises(ValueError, match="at least one screen"):
             run_calibration((0.5,), n_screens=n_screens, grid_n=64)
-
-
-class TestFluctuationBounds:
-    def test_orders_and_brackets_identical_ensemble(self):
-        rho = DensityMatrix4.from_pure(make_state(0, 1))
-        lo, hi = fluctuation_bounds([rho, rho], purity)
-        assert lo == pytest.approx(hi)
-        assert lo == pytest.approx(1.0, abs=1e-9)
-
-    def test_distinct_members_give_spread(self):
-        bell = DensityMatrix4.from_pure(make_state(0, 1))
-        a = DensityMatrix4(0.9 * bell.matrix + 0.1 * np.eye(4) / 4)
-        b = DensityMatrix4.from_pure(make_state(0, 1, np.pi / 2))
-        lo, hi = fluctuation_bounds([a, b], purity)
-        assert lo < hi
-        assert 0.25 <= lo < 1.0
-        assert hi <= 1.0
-
-    def test_requires_two(self):
-        rho = DensityMatrix4.from_pure(make_state(0, 1))
-        with pytest.raises(ValueError, match="two"):
-            fluctuation_bounds([rho], purity)

@@ -283,12 +283,6 @@ class TestReconstruction:
         _, diag = reconstruct_density(rec, return_diagnostics=True)
         assert diag["iterative_residual"] <= diag["linear_residual"] + 1e-15
 
-    def test_nine_parameter_fit_on_bell_state(self):
-        state = make_state(0, 1)
-        rec = simulate_tomography(state)
-        rho = reconstruct_density(rec, nine_parameter=True)
-        assert fidelity_to_pure(state, rho) >= 0.999
-
     def test_reconstruction_repairs_to_valid_state(self):
         cm = CountModel(pair_rate=500)
         rec = simulate_tomography(make_state(0, 3), count_model=cm, seed=5)
