@@ -33,7 +33,6 @@ from skysim.channel import (
     crosstalk_matrix,
     effective_channel,
     projective_probability,
-    quantum_contrast,
     survival_probability_analytic,
 )
 from skysim.states import (

@@ -34,7 +34,6 @@ __all__ = [
     "effective_channel",
     "projective_probability",
     "survival_probability_analytic",
-    "quantum_contrast",
 ]
 
 # Damping exponent coefficient of the closed-form fundamental-mode
@@ -203,17 +202,3 @@ class CountModel:
     def pair_budget(self) -> float:
         """Expected detected pairs over one integration window."""
         return self.pair_rate * self.integration
-
-
-def quantum_contrast(model: CountModel, coincidence_rate: float) -> float:
-    """Measured coincidence rate over the accidental rate.
-
-    Equals 1 when only accidentals are present; large values mean the
-    pair signal dominates the random background.
-    """
-    if coincidence_rate < 0:
-        raise ValueError(f"coincidence rate must be >= 0, got {coincidence_rate}")
-    acc = model.accidental_rate
-    if acc <= 0:
-        raise ValueError("accidental rate is zero; contrast is undefined")
-    return coincidence_rate / acc

@@ -313,9 +313,8 @@ def _cmd_topology(args, parser) -> int:
         "state": args.state,
         "number": number,
         "estimator": details["estimator"],
-        "excluded_fraction": details["excluded_fraction"],
-        "coverage_margin": details["coverage_margin"],
-        "kept_pixels": details["kept_pixels"],
+        "det": details["det"],
+        "margin": details["margin"],
     }
     _emit(doc, args.format, args.out)
     return 0

@@ -40,7 +40,7 @@ from skysim.states import (
 )
 from skysim.turbulence import TurbulenceSpec, generate_screen, omega_to_fried
 from skysim.witnesses import WitnessReport, discord, evaluate_witnesses
-from skysim.topology import DegenerateFieldError, fibonacci_sphere, skyrmion_number
+from skysim.topology import DegenerateFieldError, skyrmion_number
 
 __all__ = [
     "DEFAULT_WAIST",
@@ -251,11 +251,18 @@ def _evaluate(
     target: DensityMatrix4,
     discord_ref: float,
 ) -> None:
-    """Witnesses, then the wrapping number, of res.rho."""
+    """Witnesses, then the wrapping number, of res.rho.
+
+    A degenerate field leaves res without a wrapping number; its
+    witnesses, evaluated first, are kept.
+    """
     res.report = evaluate_witnesses(res.rho, target, discord_reference=discord_ref)
-    res.skyrmion, res.sky_details = skyrmion_number(
-        res.rho, state, grid, w0, return_details=True
-    )
+    try:
+        res.skyrmion, res.sky_details = skyrmion_number(
+            res.rho, state, grid, w0, return_details=True
+        )
+    except DegenerateFieldError as exc:
+        res.sky_details = {"error": str(exc)}
 
 
 def _witness_doc(rep: WitnessReport) -> dict:
@@ -272,11 +279,7 @@ def _witness_doc(rep: WitnessReport) -> dict:
 
 
 def _skyrmion_doc(res: _TaskResult) -> dict:
-    details = dict(res.sky_details)
-    details.pop("coverage_profile", None)
-    if "center" in details:
-        details["center"] = list(details["center"])
-    return {"number": res.skyrmion, **details}
+    return {"number": res.skyrmion, **res.sky_details}
 
 
 def _member_doc(res: _TaskResult) -> dict:
@@ -349,10 +352,11 @@ def run(config: RunConfig, results_root) -> Path:
 def run_static(config: RunConfig, results_root) -> Path:
     """Per-realisation pipeline: screen, tomography, witnesses, topology.
 
-    Every realisation lands in its own JSON file; aggregate tables and
-    the coverage profiles are written alongside, the manifest last.
-    Failed realisations are captured as error artifacts instead of
-    aborting the sweep.
+    Every realisation lands in its own JSON file; aggregate tables are
+    written alongside, the manifest last. Failed realisations are
+    captured as error artifacts instead of aborting the sweep; a
+    realisation whose wrapping number alone cannot be computed keeps
+    its witnesses beside a null number.
     """
     return _sweep(config, results_root, ensemble=False)
 
@@ -383,9 +387,6 @@ def _sweep(config: RunConfig, results_root, ensemble: bool) -> Path:
     incomplete: list[str] = []
     witness_rows: list[list] = []
     summary_rows: list[list] = []
-    coverage_dir = run_dir / "coverage"
-    if not ensemble:
-        coverage_dir.mkdir(exist_ok=True)
 
     for state_idx, state_id in enumerate(config.states):
         state = cat[state_id]
@@ -413,7 +414,6 @@ def _sweep(config: RunConfig, results_root, ensemble: bool) -> Path:
                 members.append(res)
             if not ensemble:
                 evaluated = members
-                _write_coverage(coverage_dir, state_id, omega, members)
             elif members:
                 mean = _evaluate_average(members, evaluate)
                 _write_json(omega_dir / "ensemble.json", _ensemble_doc(mean, members))
@@ -428,21 +428,14 @@ def _sweep(config: RunConfig, results_root, ensemble: bool) -> Path:
 
 
 def _evaluate_average(members: list[_TaskResult], evaluate) -> _TaskResult:
-    """Average the members and evaluate the mean state.
-
-    A degenerate field leaves the mean without a wrapping number; its
-    witnesses, evaluated first, are kept.
-    """
+    """Average the members and evaluate the mean state."""
     mean = _TaskResult(
         state_id=members[0].state_id,
         omega=members[0].omega,
         realisation=-1,
         rho=ensemble_average([m.rho for m in members]),
     )
-    try:
-        evaluate(mean)
-    except DegenerateFieldError as exc:
-        mean.sky_details = {"error": str(exc)}
+    evaluate(mean)
     return mean
 
 
@@ -457,22 +450,6 @@ def _ensemble_doc(mean: _TaskResult, members: list[_TaskResult]) -> dict:
         "witnesses": _witness_doc(mean.report),
         "skyrmion": _skyrmion_doc(mean),
     }
-
-
-_DIRECTIONS = fibonacci_sphere()
-
-
-def _write_coverage(coverage_dir, state_id, omega, members):
-    rows = []
-    for res in members:
-        profile = res.sky_details["coverage_profile"]
-        for d_idx, (direction, dot) in enumerate(zip(_DIRECTIONS, profile)):
-            rows.append([res.realisation, d_idx, *direction, float(dot)])
-    _write_csv(
-        coverage_dir / f"{state_id}-{_omega_dirname(omega)}.csv",
-        ["realisation", "direction", "x", "y", "z", "max_dot"],
-        rows,
-    )
 
 
 def _write_witness_tables(run_dir, witness_rows, summary_rows):

@@ -5,17 +5,22 @@ the two-qubit state on transverse position leaves a position-dependent
 2x2 density matrix whose Bloch vector field wraps the sphere an integer
 number of times. That wrapping number is the topological observable.
 
-The normalized field direction depends on the reference point the raw
-Bloch vectors are measured from. The reference must sit inside the
-closed surface the field traces out; a sphere-coverage test validates
-the intensity-weighted global centroid and falls back to per-octant
-centroids when the global one lands on or outside the surface, which
-happens for states whose branch intensities are strongly imbalanced
-across the aperture.
-
-The wrapping number itself comes from summing signed spherical-triangle
-solid angles over grid plaquettes, which is exactly integer-valued for
-a field that closes over the sphere, independent of the triangulation.
+It is computed in closed form from the 4x4 density matrix. Write
+rho = (I + a.sigma x I + I x b.sigma + sum T_ij sigma_i x sigma_j) / 4.
+Conditioning arm A on the mode pair at position r projects it onto a
+pure state with Bloch direction n(r), and n(r) covers the sphere with
+degree ell_a1 + ell_a2 over the transverse plane. Arm B is then left
+with the Bloch vector beta(n) = (b + T^T n) / (1 + a.n), which traces
+out the quantum steering ellipsoid (Jevtic, Pusey, Jennings & Rudolph,
+PRL 113, 020402 (2014)) with centre c = (b - T^T a) / (1 - |a|^2).
+Seen from c, the texture therefore wraps the sphere
+-(ell_a1 + ell_a2) * sign det(T^T - c a^T) times: the ellipsoid's
+orientation either keeps or reverses the mode pair's degree. A pure
+state through an invertible partner-arm channel keeps it (beta is then
+a Moebius map of the sphere); an averaged channel can reverse it.
+The sign convention agrees with a lattice sum of spherical-triangle
+solid angles over the texture, which the test suite keeps as its
+reference.
 """
 
 from __future__ import annotations
@@ -27,56 +32,24 @@ from skysim.states import BipartitePureState, DensityMatrix4
 
 __all__ = [
     "DegenerateFieldError",
-    "fibonacci_sphere",
-    "solid_angle",
     "mode_pair",
     "spatial_density",
-    "bloch_field",
-    "aperture_mask",
-    "pick_centroid",
-    "plaquette_sum",
     "skyrmion_number",
 ]
 
-_N_DIRECTIONS = 128
-_COVERAGE_GAP_DEG = 30.0
-_MIN_PIXELS = 8
-_EXCLUSION_SCALE = 1e-3
-_MAX_EXCLUDED = 0.20
+_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# _PAULI_PAIRS[mu, nu] = sigma_mu x sigma_nu, with sigma_0 the identity.
+_PAULI_PAIRS = np.einsum("mij,nkl->mnikjl", _PAULI, _PAULI).reshape(4, 4, 4, 4)
+# Volumes and norms at this level are rounding, not a physical ellipsoid.
+_ROUNDING = 1e-12
 
 
 class DegenerateFieldError(RuntimeError):
     """The Bloch field does not define a sphere wrapping.
 
-    Raised for isotropic states (no transverse texture at all) and for
-    fields where no admissible reference point passes the coverage
-    test, or where too many pixels sit at the reference point.
+    Raised when the steering ellipsoid has zero volume, as for the
+    maximally mixed state and for product states.
     """
-
-
-def fibonacci_sphere(count: int = _N_DIRECTIONS) -> np.ndarray:
-    """Near-uniform unit directions used for the coverage test."""
-    i = np.arange(count) + 0.5
-    z = 1 - 2 * i / count
-    r = np.sqrt(1 - z * z)
-    phi = np.pi * (1 + 5**0.5) * i
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
-_DIRS = fibonacci_sphere()
-_COS_GAP = np.cos(np.deg2rad(_COVERAGE_GAP_DEG))
-
-
-def solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Signed solid angle of spherical triangles over unit vectors."""
-    num = np.einsum("...i,...i->...", a, np.cross(b, c))
-    den = (
-        1.0
-        + np.einsum("...i,...i->...", a, b)
-        + np.einsum("...i,...i->...", b, c)
-        + np.einsum("...i,...i->...", c, a)
-    )
-    return 2.0 * np.arctan2(num, den)
 
 
 def mode_pair(
@@ -93,6 +66,21 @@ def mode_pair(
     return u0, u1
 
 
+def _through_channel(matrix: np.ndarray, channel: np.ndarray | None) -> np.ndarray:
+    """The 4x4 density after a 2x2 channel on arm B, trace-renormalized."""
+    if channel is None:
+        return matrix
+    e = np.asarray(channel, dtype=complex)
+    if e.shape != (2, 2):
+        raise ValueError(f"channel must be 2x2, got {e.shape}")
+    k = np.kron(np.eye(2), e)
+    out = k @ matrix @ k.conj().T
+    trace = np.trace(out).real
+    if trace <= 0:
+        raise ValueError("channel annihilates the state")
+    return out / trace
+
+
 def spatial_density(
     rho: DensityMatrix4,
     state: BipartitePureState,
@@ -105,110 +93,10 @@ def spatial_density(
     An optional 2x2 channel matrix acts on the partner-arm indices
     before conditioning, with trace renormalization.
     """
-    r4 = rho.matrix.reshape(2, 2, 2, 2)
-    if channel is not None:
-        e = np.asarray(channel, dtype=complex)
-        if e.shape != (2, 2):
-            raise ValueError(f"channel must be 2x2, got {e.shape}")
-        r4 = np.einsum("jk,ikml,nl->ijmn", e, r4, e.conj())
-        trace = np.einsum("ijij->", r4).real
-        if trace <= 0:
-            raise ValueError("channel annihilates the state")
-        r4 = r4 / trace
+    r4 = _through_channel(rho.matrix, channel).reshape(2, 2, 2, 2)
     u0, u1 = mode_pair(state, grid, w0)
     modes = np.stack([u0, u1], axis=-1)
     return np.einsum("...i,...m,ijmn->...jn", modes, modes.conj(), r4)
-
-
-def bloch_field(rho_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized Bloch vectors and per-pixel weight (local trace)."""
-    b = np.stack(
-        [
-            2 * np.real(rho_r[..., 0, 1]),
-            -2 * np.imag(rho_r[..., 0, 1]),
-            np.real(rho_r[..., 0, 0] - rho_r[..., 1, 1]),
-        ],
-        axis=-1,
-    )
-    weight = np.real(rho_r[..., 0, 0] + rho_r[..., 1, 1])
-    return b, weight
-
-
-def aperture_mask(grid: Grid2D, state: BipartitePureState, w0: float) -> np.ndarray:
-    """Disk covering both branch modes out to three effective radii."""
-    x, y = grid.meshgrid()
-    ell_max = max(abs(state.ell_a1), abs(state.ell_a2))
-    radius = 3 * w0 * np.sqrt(ell_max + 1)
-    return np.hypot(x, y) <= radius
-
-
-def _coverage_margin(vectors: np.ndarray, center: np.ndarray, eps: float):
-    """Worst-direction coverage of the centered, normalized vectors.
-
-    Returns (margin, per-direction max dot) or (-inf, None) when fewer
-    than the minimum pixel count survives centering.
-    """
-    d = vectors - center
-    mag = np.linalg.norm(d, axis=-1)
-    keep = mag >= eps
-    if keep.sum() < _MIN_PIXELS:
-        return -np.inf, None
-    u = d[keep] / mag[keep, None]
-    profile = (u @ _DIRS.T).max(axis=0)
-    return float(profile.min()), profile
-
-
-def pick_centroid(vectors: np.ndarray, weights: np.ndarray, eps: float):
-    """Reference point for normalizing the Bloch field.
-
-    Tries the weighted global centroid first; if the centered field
-    fails the coverage test, tries the weighted centroid of each sign
-    octant and keeps the one with the best coverage margin.
-
-    Returns (center, tag, margin) with tag in "global", "octant",
-    "degenerate".
-    """
-    total = weights.sum()
-    center = (
-        (vectors * weights[:, None]).sum(axis=0) / total
-        if total > 0
-        else np.zeros(3)
-    )
-    margin, _ = _coverage_margin(vectors, center, eps)
-    if margin >= _COS_GAP:
-        return center, "global", margin
-    best, best_margin = None, -np.inf
-    for sx in (-1, 1):
-        for sy in (-1, 1):
-            for sz in (-1, 1):
-                sel = (
-                    (np.sign(vectors[:, 0]) == sx)
-                    & (np.sign(vectors[:, 1]) == sy)
-                    & (np.sign(vectors[:, 2]) == sz)
-                )
-                if sel.sum() < _MIN_PIXELS:
-                    continue
-                cand = (vectors[sel] * weights[sel, None]).sum(
-                    axis=0
-                ) / weights[sel].sum()
-                m, _ = _coverage_margin(vectors, cand, eps)
-                if m > best_margin:
-                    best_margin, best = m, cand
-    if best is None or best_margin < _COS_GAP:
-        return center, "degenerate", max(margin, best_margin)
-    return best, "octant", best_margin
-
-
-def plaquette_sum(unit_field: np.ndarray, keep: np.ndarray) -> float:
-    """Total wrapping from two spherical triangles per grid plaquette.
-
-    Only plaquettes with all four corners kept contribute; the split is
-    (p00, p10, p11) and (p00, p11, p01) with p10 one step along x.
-    """
-    corners = keep[:-1, :-1] & keep[:-1, 1:] & keep[1:, 1:] & keep[1:, :-1]
-    t1 = solid_angle(unit_field[:-1, :-1], unit_field[:-1, 1:], unit_field[1:, 1:])
-    t2 = solid_angle(unit_field[:-1, :-1], unit_field[1:, 1:], unit_field[1:, :-1])
-    return float(((t1 + t2) * corners).sum() / (4 * np.pi))
 
 
 def skyrmion_number(
@@ -221,46 +109,39 @@ def skyrmion_number(
 ):
     """Sphere-wrapping number of the position-conditioned Bloch field.
 
-    Raises DegenerateFieldError when the field carries no texture or
-    when more than 20% of aperture pixels collapse onto the reference
-    point. With return_details=True also returns a dict with the
-    estimator tag, excluded fraction, reference point, coverage margin,
-    and the per-direction coverage profile.
+    Exact and independent of the sampling: `grid` and `w0` are accepted
+    for the texture they describe but not read. An optional 2x2
+    `channel` acts on arm B first, as in `spatial_density`. A number of
+    the opposite sign to the target is an orientation reversal of the
+    state's steering ellipsoid, not an error.
+
+    Raises DegenerateFieldError when the steering ellipsoid has zero
+    volume. With return_details=True also returns a dict with the
+    estimator tag, det(T^T - c a^T), the margin 1 - |n_c| and the centre
+    c. Here n_c is the arm-A Bloch vector whose conditional state on
+    arm B sits at c; the margin is 1 when n_c is the centre of the
+    Bloch ball and 0 when it reaches the sphere.
     """
-    rho_r = spatial_density(rho, state, grid, w0, channel=channel)
-    b, weight = bloch_field(rho_r)
-    ap = aperture_mask(grid, state, w0)
-    mag = np.linalg.norm(b, axis=-1)
-    peak = mag[ap].max()
-    if peak <= 0:
-        raise DegenerateFieldError("Bloch field vanishes over the whole aperture")
-    eps = _EXCLUSION_SCALE * peak
-    center, tag, margin = pick_centroid(b[ap], weight[ap], eps)
-    if tag == "degenerate":
+    m = _through_channel(rho.matrix, channel)
+    r = np.einsum("mnij,ji->mn", _PAULI_PAIRS, m).real
+    a, b, t = r[1:, 0], r[0, 1:], r[1:, 1:]
+    purity_gap = 1.0 - a @ a
+    if purity_gap <= _ROUNDING:
+        raise DegenerateFieldError("arm A is pure: the steering ellipsoid is a point")
+    center = (b - t.T @ a) / purity_gap
+    shape = t.T - np.outer(center, a)
+    det = float(np.linalg.det(shape))
+    if abs(det) <= _ROUNDING:
         raise DegenerateFieldError(
-            f"no reference point covers the sphere (best margin {margin:.3f})"
+            f"steering ellipsoid has zero volume (det {det:.3g})"
         )
-    shifted = b - center
-    dist = np.linalg.norm(shifted, axis=-1)
-    keep = ap & (dist >= eps)
-    excluded = 1.0 - keep[ap].mean()
-    if excluded > _MAX_EXCLUDED:
-        raise DegenerateFieldError(
-            f"{excluded:.1%} of aperture pixels sit at the reference point"
-        )
-    unit = np.where(
-        keep[..., None], shifted / np.maximum(dist, 1e-300)[..., None], 0.0
-    )
-    number = plaquette_sum(unit, keep)
+    number = float(-(state.ell_a1 + state.ell_a2) * np.sign(det))
     if not return_details:
         return number
-    _, profile = _coverage_margin(b[ap], center, eps)
     details = {
-        "estimator": tag,
-        "excluded_fraction": float(excluded),
+        "estimator": "ellipsoid",
+        "det": det,
+        "margin": float(1.0 - np.linalg.norm(np.linalg.solve(shape, center - b))),
         "center": center,
-        "coverage_margin": float(margin),
-        "coverage_profile": profile,
-        "kept_pixels": int(keep.sum()),
     }
     return number, details

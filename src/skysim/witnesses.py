@@ -47,12 +47,17 @@ def _as_matrix(rho) -> np.ndarray:
 
 
 def concurrence(rho) -> float:
-    """Wootters concurrence; 0 for separable, 1 for Bell states."""
-    m = _as_matrix(rho)
-    flipped = _FLIP @ m.conj() @ _FLIP
-    eigs = np.linalg.eigvals(m @ flipped)
-    lam = np.sqrt(np.clip(np.real(eigs), 0.0, None))
-    lam = np.sort(lam)[::-1]
+    """Wootters concurrence; 0 for separable, 1 for Bell states.
+
+    The lambda_i are the singular values of W^T (sy x sy) W with
+    rho = W W^dagger. They equal the square roots of the eigenvalues of
+    rho times its spin flip, but where they vanish (three of them for a
+    pure state) they come out at rounding level, not at the square root
+    of rounding (~1e-8) as those square roots would.
+    """
+    w, v = np.linalg.eigh(_as_matrix(rho))
+    root = v * np.sqrt(np.clip(w, 0.0, None))
+    lam = np.linalg.svd(root.T @ _FLIP @ root, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

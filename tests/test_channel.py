@@ -13,7 +13,6 @@ from skysim.channel import (
     crosstalk_matrix,
     effective_channel,
     projective_probability,
-    quantum_contrast,
     survival_probability_analytic,
 )
 from skysim.modes import LGMode, azimuthal_spectrum, lg_field, make_grid
@@ -190,14 +189,6 @@ class TestCounting:
         m = CountModel(singles_rate_a=1e5, singles_rate_b=1e5, gate=2e-9)
         assert m.accidental_rate == pytest.approx(20.0)
 
-    def test_contrast_reference(self):
-        m = CountModel(singles_rate_a=1e5, singles_rate_b=1e5, gate=2e-9)
-        assert quantum_contrast(m, 100.0) == pytest.approx(5.0)
-
-    def test_contrast_floor_at_accidentals(self):
-        m = CountModel()
-        assert quantum_contrast(m, m.accidental_rate) == pytest.approx(1.0)
-
     def test_pair_budget(self):
         m = CountModel(pair_rate=2500.0, integration=4.0)
         assert m.pair_budget == pytest.approx(1e4)
@@ -209,5 +200,3 @@ class TestCounting:
             CountModel(gate=0.0)
         with pytest.raises(ValueError):
             CountModel(integration=0.0)
-        with pytest.raises(ValueError):
-            quantum_contrast(CountModel(), -5.0)

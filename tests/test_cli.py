@@ -253,7 +253,7 @@ class TestTopologyCommand:
             line.split(",", 1) for line in stdout.strip().splitlines()[1:]
         )
         assert float(rows["number"]) == pytest.approx(1.0, abs=0.05)
-        assert rows["estimator"] == "global"
+        assert rows["estimator"] == "ellipsoid"
 
     def test_stored_density_json_output(self, tmp_path, capsys):
         from skysim.states import DensityMatrix4, density_to_json, make_state

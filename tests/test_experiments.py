@@ -20,6 +20,8 @@ from skysim.experiments import (
     run_ensemble,
     run_static,
 )
+from skysim.states import catalog
+from skysim.topology import DegenerateFieldError
 import skysim.experiments as experiments
 
 SMALL = RunConfig(
@@ -92,7 +94,7 @@ class TestStaticRun:
         for omega in ("omega-0.00", "omega-1.00"):
             for k in range(2):
                 assert (run_dir / "0_1" / omega / f"realisation-{k}.json").exists()
-            assert (run_dir / "coverage" / f"0_1-{omega}.csv").exists()
+        assert not (run_dir / "coverage").exists()
 
     def test_quiet_channel_realisation_content(self, run_dir):
         doc = json.loads(
@@ -159,6 +161,33 @@ class TestFailureCapture:
             row = next(csv.DictReader(fh))
         assert row["n_ok"] == "0"
         assert row["skyrmion_mean"] == ""
+
+    def test_degenerate_wrapping_number_keeps_witnesses(self, tmp_path, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateFieldError("injected")
+
+        monkeypatch.setattr(experiments, "skyrmion_number", degenerate)
+        cfg = RunConfig(
+            states=("0_1",), omegas=(0.5,), realisations=2, grid_n=128,
+            master_seed=13,
+        )
+        run_dir = run_static(cfg, tmp_path)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["incomplete"] == []
+        doc = json.loads(
+            (run_dir / "0_1" / "omega-0.50" / "realisation-0.json").read_text()
+        )
+        assert doc["skyrmion"] == {"number": None, "error": "injected"}
+        assert "concurrence" in doc["witnesses"]
+        with open(run_dir / "witnesses.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["realisation"] for r in rows] == ["0", "1"]
+        assert all(r["skyrmion"] == "" and r["concurrence"] != "" for r in rows)
+        with open(run_dir / "summary.csv") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["n_ok"] == "2"
+        assert row["skyrmion_mean"] == ""
+        assert row["concurrence_mean"] != ""
 
 
 class TestEnsembleRun:
@@ -234,6 +263,77 @@ class TestEnsembleRun:
             "evaluate_witnesses": pairs + per_static,
             "skyrmion_number": pairs + per_static,
         }
+
+
+def _static_numbers(run_dir):
+    with open(run_dir / "witnesses.csv") as fh:
+        return [(r["state"], float(r["skyrmion"])) for r in csv.DictReader(fh)]
+
+
+class TestPastFailures:
+    """Configurations on which the former lattice estimator failed.
+
+    A pure state sent through an invertible partner-arm channel keeps
+    its wrapping number exactly: its steering ellipsoid is the Bloch
+    sphere under a Moebius map, which preserves orientation.
+    """
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RunConfig(
+                states=("0_1", "0_m1_phase"), omegas=(0.5, 1.0, 1.5, 2.0),
+                realisations=1, grid_n=512, master_seed=seed,
+            )
+            for seed in (101001, 104001)
+        ]
+        + [
+            RunConfig(
+                states=("0_1", "0_m3"), omegas=(0.5, 1.0, 1.5, 2.0),
+                realisations=3, grid_n=512, master_seed=0,
+            )
+        ],
+        ids=["seed-101001", "seed-104001", "0_m3"],
+    )
+    def test_static_512_hits_every_target(self, config, tmp_path):
+        run_dir = run_static(config, tmp_path)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["incomplete"] == []
+        numbers = _static_numbers(run_dir)
+        assert len(numbers) == len(config.states) * len(config.omegas) * (
+            config.realisations
+        )
+        cat = catalog()
+        for state_id, number in numbers:
+            assert number == sum(cat[state_id].ells_a), state_id
+
+    def test_static_imbalanced_state_128(self, tmp_path):
+        cfg = RunConfig(states=("2_3",), omegas=(1.0,), realisations=8, grid_n=128)
+        run_dir = run_static(cfg, tmp_path)
+        assert _static_numbers(run_dir) == [("2_3", 5.0)] * 8
+
+    def test_ensemble_orientation_flip_is_an_outcome(self, tmp_path):
+        cfg = RunConfig(
+            states=("0_1", "0_m2"), omegas=(0.5, 1.0, 1.5, 2.0), realisations=3,
+            grid_n=256, mode="ensemble", count_model=CountModel(), master_seed=4,
+        )
+        run_dir = run_ensemble(cfg, tmp_path)
+        cat = catalog()
+        for state_id in cfg.states:
+            target = sum(cat[state_id].ells_a)
+            for omega in cfg.omegas:
+                doc = json.loads(
+                    (run_dir / state_id / f"omega-{omega:.2f}" / "ensemble.json")
+                    .read_text()
+                )
+                sky = doc["skyrmion"]
+                if (state_id, omega) == ("0_1", 2.0):
+                    # the averaged channel reverses the ellipsoid
+                    assert sky["number"] == -target
+                    assert sky["det"] > 0
+                else:
+                    assert sky["number"] == target, (state_id, omega)
+                    assert sky["det"] < 0
 
 
 class TestCalibration:

@@ -1,4 +1,14 @@
-"""Tests for the skyrmion-number pipeline."""
+"""Tests for the skyrmion-number pipeline.
+
+The closed-form wrapping number is checked against a reference that
+never looks at the density matrix's Pauli coefficients: it samples the
+position-conditioned Bloch field on the grid, picks a reference point
+inside the surface the field traces out (intensity-weighted centroid,
+validated by a sphere-coverage test, with per-octant centroids as a
+fallback), and sums signed spherical-triangle solid angles over the
+grid plaquettes. The reference raises DegenerateFieldError where no
+reference point passes its coverage test.
+"""
 
 import numpy as np
 import pytest
@@ -7,19 +17,165 @@ from skysim.modes import make_grid
 from skysim.states import DensityMatrix4, catalog, make_state
 from skysim.topology import (
     DegenerateFieldError,
-    aperture_mask,
-    bloch_field,
-    fibonacci_sphere,
     mode_pair,
-    pick_centroid,
-    plaquette_sum,
     skyrmion_number,
-    solid_angle,
     spatial_density,
 )
 
 W0 = 0.9375e-3
 GRID = make_grid(256, 16 * W0)
+GRID512 = make_grid(512, 16 * W0)
+
+_N_DIRECTIONS = 128
+_COVERAGE_GAP_DEG = 30.0
+_MIN_PIXELS = 8
+_EXCLUSION_SCALE = 1e-3
+_MAX_EXCLUDED = 0.20
+
+
+def fibonacci_sphere(count: int = _N_DIRECTIONS) -> np.ndarray:
+    """Near-uniform unit directions used for the coverage test."""
+    i = np.arange(count) + 0.5
+    z = 1 - 2 * i / count
+    r = np.sqrt(1 - z * z)
+    phi = np.pi * (1 + 5**0.5) * i
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+_DIRS = fibonacci_sphere()
+_COS_GAP = np.cos(np.deg2rad(_COVERAGE_GAP_DEG))
+
+
+def solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Signed solid angle of spherical triangles over unit vectors."""
+    num = np.einsum("...i,...i->...", a, np.cross(b, c))
+    den = (
+        1.0
+        + np.einsum("...i,...i->...", a, b)
+        + np.einsum("...i,...i->...", b, c)
+        + np.einsum("...i,...i->...", c, a)
+    )
+    return 2.0 * np.arctan2(num, den)
+
+
+def bloch_field(rho_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized Bloch vectors and per-pixel weight (local trace)."""
+    b = np.stack(
+        [
+            2 * np.real(rho_r[..., 0, 1]),
+            -2 * np.imag(rho_r[..., 0, 1]),
+            np.real(rho_r[..., 0, 0] - rho_r[..., 1, 1]),
+        ],
+        axis=-1,
+    )
+    weight = np.real(rho_r[..., 0, 0] + rho_r[..., 1, 1])
+    return b, weight
+
+
+def aperture_mask(grid, state, w0: float) -> np.ndarray:
+    """Disk covering both branch modes out to three effective radii."""
+    x, y = grid.meshgrid()
+    ell_max = max(abs(state.ell_a1), abs(state.ell_a2))
+    radius = 3 * w0 * np.sqrt(ell_max + 1)
+    return np.hypot(x, y) <= radius
+
+
+def _coverage_margin(vectors: np.ndarray, center: np.ndarray, eps: float):
+    """Worst-direction coverage of the centered, normalized vectors.
+
+    Returns (margin, per-direction max dot) or (-inf, None) when fewer
+    than the minimum pixel count survives centering.
+    """
+    d = vectors - center
+    mag = np.linalg.norm(d, axis=-1)
+    keep = mag >= eps
+    if keep.sum() < _MIN_PIXELS:
+        return -np.inf, None
+    u = d[keep] / mag[keep, None]
+    profile = (u @ _DIRS.T).max(axis=0)
+    return float(profile.min()), profile
+
+
+def pick_centroid(vectors: np.ndarray, weights: np.ndarray, eps: float):
+    """Reference point for normalizing the Bloch field.
+
+    Tries the weighted global centroid first; if the centered field
+    fails the coverage test, tries the weighted centroid of each sign
+    octant and keeps the one with the best coverage margin.
+
+    Returns (center, tag, margin) with tag in "global", "octant",
+    "degenerate".
+    """
+    total = weights.sum()
+    center = (
+        (vectors * weights[:, None]).sum(axis=0) / total
+        if total > 0
+        else np.zeros(3)
+    )
+    margin, _ = _coverage_margin(vectors, center, eps)
+    if margin >= _COS_GAP:
+        return center, "global", margin
+    best, best_margin = None, -np.inf
+    for sx in (-1, 1):
+        for sy in (-1, 1):
+            for sz in (-1, 1):
+                sel = (
+                    (np.sign(vectors[:, 0]) == sx)
+                    & (np.sign(vectors[:, 1]) == sy)
+                    & (np.sign(vectors[:, 2]) == sz)
+                )
+                if sel.sum() < _MIN_PIXELS:
+                    continue
+                cand = (vectors[sel] * weights[sel, None]).sum(
+                    axis=0
+                ) / weights[sel].sum()
+                m, _ = _coverage_margin(vectors, cand, eps)
+                if m > best_margin:
+                    best_margin, best = m, cand
+    if best is None or best_margin < _COS_GAP:
+        return center, "degenerate", max(margin, best_margin)
+    return best, "octant", best_margin
+
+
+def plaquette_sum(unit_field: np.ndarray, keep: np.ndarray) -> float:
+    """Total wrapping from two spherical triangles per grid plaquette.
+
+    Only plaquettes with all four corners kept contribute; the split is
+    (p00, p10, p11) and (p00, p11, p01) with p10 one step along x.
+    """
+    corners = keep[:-1, :-1] & keep[:-1, 1:] & keep[1:, 1:] & keep[1:, :-1]
+    t1 = solid_angle(unit_field[:-1, :-1], unit_field[:-1, 1:], unit_field[1:, 1:])
+    t2 = solid_angle(unit_field[:-1, :-1], unit_field[1:, 1:], unit_field[1:, :-1])
+    return float(((t1 + t2) * corners).sum() / (4 * np.pi))
+
+
+def lattice_number(rho, state, grid, w0, channel=None) -> float:
+    """Reference wrapping number: plaquette sum about a validated centroid."""
+    rho_r = spatial_density(rho, state, grid, w0, channel=channel)
+    b, weight = bloch_field(rho_r)
+    ap = aperture_mask(grid, state, w0)
+    mag = np.linalg.norm(b, axis=-1)
+    peak = mag[ap].max()
+    if peak <= 0:
+        raise DegenerateFieldError("Bloch field vanishes over the whole aperture")
+    eps = _EXCLUSION_SCALE * peak
+    center, tag, margin = pick_centroid(b[ap], weight[ap], eps)
+    if tag == "degenerate":
+        raise DegenerateFieldError(
+            f"no reference point covers the sphere (best margin {margin:.3f})"
+        )
+    shifted = b - center
+    dist = np.linalg.norm(shifted, axis=-1)
+    keep = ap & (dist >= eps)
+    excluded = 1.0 - keep[ap].mean()
+    if excluded > _MAX_EXCLUDED:
+        raise DegenerateFieldError(
+            f"{excluded:.1%} of aperture pixels sit at the reference point"
+        )
+    unit = np.where(
+        keep[..., None], shifted / np.maximum(dist, 1e-300)[..., None], 0.0
+    )
+    return plaquette_sum(unit, keep)
 
 
 def number_for(state, n=256, **kwargs):
@@ -28,13 +184,20 @@ def number_for(state, n=256, **kwargs):
     return skyrmion_number(rho, state, grid, W0, **kwargs)
 
 
-class TestGeometryHelpers:
-    def test_fibonacci_sphere_unit_and_balanced(self):
-        dirs = fibonacci_sphere(128)
-        assert dirs.shape == (128, 3)
-        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
-        assert np.linalg.norm(dirs.mean(axis=0)) < 0.02
+# Two fixed partner-arm channels; neither is unitary.
+CHANNELS = (
+    np.array([[0.9 + 0.1j, 0.35 - 0.2j], [-0.15 + 0.3j, 0.75 + 0.05j]]),
+    np.array([[0.4 - 0.3j, 1.1 + 0.2j], [0.8 + 0.1j, -0.2 + 0.6j]]),
+)
 
+
+def werner(state, p):
+    return DensityMatrix4(
+        p * DensityMatrix4.from_pure(state).matrix + (1 - p) * np.eye(4) / 4
+    )
+
+
+class TestGeometryHelpers:
     def test_solid_angle_octant(self):
         a = np.array([1.0, 0.0, 0.0])
         b = np.array([0.0, 1.0, 0.0])
@@ -89,17 +252,12 @@ class TestSkyrmionNumbers:
             n = number_for(state)
             assert n == pytest.approx(target, abs=0.02), name
 
-    def test_imbalanced_state_uses_octant_fallback(self):
-        state = make_state(2, 3)
-        _, details = number_for(state, return_details=True)
-        assert details["estimator"] == "octant"
-
-    def test_balanced_state_uses_global_centroid(self):
+    def test_details_describe_the_ellipsoid(self):
         _, details = number_for(make_state(0, 1), return_details=True)
-        assert details["estimator"] == "global"
-        assert details["coverage_margin"] >= np.cos(np.deg2rad(30))
-        assert details["coverage_profile"].shape == (128,)
-        assert details["excluded_fraction"] <= 0.20
+        assert details["estimator"] == "ellipsoid"
+        assert details["det"] < 0
+        assert 0 < details["margin"] <= 1
+        assert details["center"].shape == (3,)
 
     def test_grid_convergence(self):
         for state in (make_state(0, 1), make_state(2, 3)):
@@ -115,19 +273,53 @@ class TestSkyrmionNumbers:
             )
 
     def test_partner_arm_channel_leaves_number_invariant(self):
-        e = np.array(
-            [[0.9 + 0.1j, 0.35 - 0.2j], [-0.15 + 0.3j, 0.75 + 0.05j]]
-        )
+        e = CHANNELS[0]
         for state in (make_state(0, 1), make_state(2, 3)):
             base = number_for(state)
             turned = number_for(state, channel=e)
             assert turned == pytest.approx(base, abs=1e-3)
+
+    def test_channel_must_be_2x2(self):
+        with pytest.raises(ValueError, match="2x2"):
+            number_for(make_state(0, 1), channel=np.eye(3))
 
     def test_maximally_mixed_state_is_degenerate(self):
         state = make_state(0, 1)
         rho = DensityMatrix4(np.eye(4, dtype=complex) / 4)
         with pytest.raises(DegenerateFieldError):
             skyrmion_number(rho, state, GRID, W0)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+    def test_product_states_are_degenerate(self, mixed):
+        rng = np.random.default_rng(5)
+        sides = []
+        for _ in range(2):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            if not mixed:
+                g[:, 1] = 0
+            m = g @ g.conj().T
+            sides.append(m / np.trace(m).real)
+        rho = DensityMatrix4(np.kron(*sides))
+        with pytest.raises(DegenerateFieldError):
+            skyrmion_number(rho, make_state(0, 1), GRID, W0)
+
+    def test_reversed_ellipsoid_gives_opposite_sign(self):
+        # (I + t sum_i sigma_i x sigma_i) / 4 is a state for t <= 1/3; its
+        # steering ellipsoid keeps the orientation the Bell states reverse.
+        state = make_state(0, 2)
+        paulis = (
+            np.array([[0, 1], [1, 0]]),
+            np.array([[0, -1j], [1j, 0]]),
+            np.array([[1, 0], [0, -1]]),
+        )
+        t = 0.2
+        rho = DensityMatrix4(
+            (np.eye(4) + t * sum(np.kron(s, s) for s in paulis)) / 4
+        )
+        number, details = skyrmion_number(rho, state, GRID, W0, return_details=True)
+        assert details["det"] == pytest.approx(t**3, rel=1e-12)
+        assert number == -2.0
+        assert lattice_number(rho, state, GRID, W0) == pytest.approx(-2.0, abs=0.02)
 
     def test_rotated_unit_field_same_wrapping(self):
         state = make_state(0, 2)
@@ -149,35 +341,20 @@ class TestSkyrmionNumbers:
         assert plaquette_sum(unit @ rot.T, keep) == pytest.approx(base, abs=1e-10)
 
 
-class TestCentroidEstimator:
-    def test_shift_equivariance_on_synthetic_texture(self):
-        n = 128
-        coords = (np.arange(n) - n / 2) * (8.0 / n)
-        x, y = np.meshgrid(coords, coords, indexing="xy")
-        r = np.hypot(x, y)
-        phi = np.arctan2(y, x)
-        polar = np.clip(r / 2.0, 0, 1) * np.pi
-        m = np.exp(-(((r - 1.2) / 1.5) ** 2)) + 1e-12
-        b0 = np.stack(
-            [
-                m * np.sin(polar) * np.cos(phi),
-                m * np.sin(polar) * np.sin(phi),
-                m * np.cos(polar),
-            ],
-            axis=-1,
-        )
-        ap = r <= 3.9
-        vectors = b0[ap].reshape(-1, 3)
-        weights = m[ap].ravel()
-        shift = np.array([0.0, 0.0, 0.3])
-        eps = 1e-3 * np.linalg.norm(vectors + shift, axis=-1).max()
-        base_c, _, _ = pick_centroid(vectors, weights, eps)
-        moved_c, tag, _ = pick_centroid(vectors + shift, weights, eps)
-        assert tag == "global"
-        assert np.linalg.norm(moved_c - shift - base_c) < 1e-12
-
-    def test_zero_field_degenerate_tag(self):
-        vectors = np.zeros((100, 3))
-        center, tag, _ = pick_centroid(vectors, np.ones(100), eps=1.0)
-        assert tag == "degenerate"
-        assert np.allclose(center, 0.0)
+def test_closed_form_agrees_with_lattice_reference():
+    """Wherever the 512² lattice returns a number, the closed form matches."""
+    compared = 0
+    for name, state in catalog().items():
+        pure = DensityMatrix4.from_pure(state)
+        cases = [(pure, None), (pure, CHANNELS[0]), (pure, CHANNELS[1])]
+        cases.append((werner(state, 0.6), None))
+        for rho, channel in cases:
+            number = skyrmion_number(rho, state, GRID512, W0, channel=channel)
+            try:
+                reference = lattice_number(rho, state, GRID512, W0, channel=channel)
+            except DegenerateFieldError:
+                continue
+            compared += 1
+            assert number == pytest.approx(reference, abs=0.02), name
+    # at most one case in ten may be skipped by the reference
+    assert compared >= 36

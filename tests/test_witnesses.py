@@ -87,6 +87,16 @@ class TestConcurrence:
         for seed in range(5):
             assert concurrence(random_density(seed)) >= 0.0
 
+    def test_pure_states_match_closed_form(self):
+        rng = np.random.default_rng(808)
+        for _ in range(200):
+            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+            psi /= np.linalg.norm(psi)
+            expected = 2 * abs(psi[0] * psi[3] - psi[1] * psi[2])
+            assert concurrence(np.outer(psi, psi.conj())) == pytest.approx(
+                expected, abs=1e-12
+            )
+
 
 class TestPurityFidelity:
     def test_purity_values(self):
