@@ -10,9 +10,6 @@ from skysim.modes import (
     effective_radius,
     lg_field,
     make_grid,
-    oam_spectrum,
-    read_field,
-    write_field,
 )
 from skysim.turbulence import (
     PhaseScreen,

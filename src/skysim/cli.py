@@ -88,9 +88,6 @@ def _build_parser() -> _Parser:
     topology.add_argument("--state", required=True, help="catalog state id")
     topology.add_argument("--density", default=None,
                           help="density-matrix JSON (default: ideal state)")
-    topology.add_argument("--grid-n", type=int, default=256)
-    topology.add_argument("--extent-factor", type=float, default=16.0)
-    topology.add_argument("--w0", type=float, default=None)
     topology.add_argument("--format", choices=("csv", "json"), default="csv")
     topology.add_argument("--out", default=None, help="write instead of stdout")
     topology.set_defaults(func=_cmd_topology)
@@ -297,18 +294,15 @@ def _load_density(density_path):
 
 
 def _cmd_topology(args, parser) -> int:
-    from skysim.modes import make_grid
     from skysim.states import DensityMatrix4
     from skysim.topology import skyrmion_number
 
     state = _load_catalog_state(args.state, parser)
-    w0 = _default_w0(args.w0)
-    grid = make_grid(args.grid_n, args.extent_factor * w0)
     if args.density is not None:
         rho = _load_density(args.density)
     else:
         rho = DensityMatrix4.from_pure(state)
-    number, details = skyrmion_number(rho, state, grid, w0, return_details=True)
+    number, details = skyrmion_number(rho, state, return_details=True)
     doc = {
         "state": args.state,
         "number": number,

@@ -246,8 +246,6 @@ def _realise(
 def _evaluate(
     res: _TaskResult,
     state: BipartitePureState,
-    grid: Grid2D,
-    w0: float,
     target: DensityMatrix4,
     discord_ref: float,
 ) -> None:
@@ -259,7 +257,7 @@ def _evaluate(
     res.report = evaluate_witnesses(res.rho, target, discord_reference=discord_ref)
     try:
         res.skyrmion, res.sky_details = skyrmion_number(
-            res.rho, state, grid, w0, return_details=True
+            res.rho, state, return_details=True
         )
     except DegenerateFieldError as exc:
         res.sky_details = {"error": str(exc)}
@@ -392,8 +390,7 @@ def _sweep(config: RunConfig, results_root, ensemble: bool) -> Path:
         state = cat[state_id]
         target = DensityMatrix4.from_pure(state)
         evaluate = partial(
-            _evaluate, state=state, grid=grid, w0=config.w0, target=target,
-            discord_ref=discord(target),
+            _evaluate, state=state, target=target, discord_ref=discord(target)
         )
         for omega_idx, omega in enumerate(config.omegas):
             omega_dir = run_dir / state_id / _omega_dirname(omega)

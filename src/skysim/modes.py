@@ -9,7 +9,6 @@ topological charge computed later, so it is fixed here once.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from math import factorial
 
@@ -23,11 +22,8 @@ __all__ = [
     "OamSpectrum",
     "make_grid",
     "lg_field",
-    "oam_spectrum",
     "azimuthal_spectrum",
     "effective_radius",
-    "write_field",
-    "read_field",
 ]
 
 
@@ -104,7 +100,7 @@ class ComplexField:
 
 @dataclass
 class OamSpectrum:
-    """Modal power fractions over an inclusive range of azimuthal indices."""
+    """Power fractions over an inclusive range of azimuthal indices."""
 
     ell_min: int
     ell_max: int
@@ -202,35 +198,15 @@ def lg_field(mode: LGMode, grid: Grid2D) -> ComplexField:
     return ComplexField(grid=grid, amplitude=amplitude)
 
 
-def oam_spectrum(
-    field: ComplexField, w0: float, ell_range: tuple[int, int]
-) -> OamSpectrum:
-    """Decompose a field into modal powers over an index window.
-
-    power[ell] = |<LG_ell | field>|^2 with the overlap taken as a
-    pixel-area weighted sum. Power outside the window is simply not
-    reported, so the spectrum may total less than one.
-    """
-    ell_min, ell_max = ell_range
-    if ell_min > ell_max:
-        raise ValueError(f"empty index range [{ell_min}, {ell_max}]")
-    powers = np.empty(ell_max - ell_min + 1)
-    for i, ell in enumerate(range(ell_min, ell_max + 1)):
-        ref = lg_field(LGMode(ell=ell, w0=w0), field.grid)
-        overlap = np.sum(np.conj(ref.amplitude) * field.amplitude) * field.grid.dx**2
-        powers[i] = np.abs(overlap) ** 2
-    return OamSpectrum(ell_min=ell_min, ell_max=ell_max, powers=np.clip(powers, 0.0, 1.0))
-
-
 def azimuthal_spectrum(
     field: ComplexField, ell_range: tuple[int, int], n_angles: int = 256
 ) -> OamSpectrum:
     """Total power per azimuthal harmonic, all radial content included.
 
-    Unlike `oam_spectrum`, which projects onto the p = 0 modes only, this
-    resolves the field into complete e^(i*ell*phi) classes, so the powers
-    over all indices sum to the field power (up to interpolation error of
-    the polar resampling). Captured fractions computed from it therefore
+    Unlike a projection onto the p = 0 modes alone, this resolves the
+    field into complete e^(i*ell*phi) classes, so the powers over all
+    indices sum to the field power (up to interpolation error of the
+    polar resampling). Captured fractions computed from it therefore
     converge to one as the window grows, which makes it the right measure
     for how much scattered light a finite index window retains.
     """
@@ -258,37 +234,3 @@ def azimuthal_spectrum(
     return OamSpectrum(
         ell_min=ell_min, ell_max=ell_max, powers=np.clip(powers, 0.0, 1.0)
     )
-
-
-_FIELD_MAGIC = b"SKYF"
-_FIELD_VERSION = 1
-_FIELD_HEADER = struct.Struct("<4sHId")  # magic, version, n, dx
-_FIELD_HEADER_SIZE = 32  # header padded with reserved zero bytes
-
-
-def write_field(field: ComplexField, path) -> None:
-    """Write a field as a 32-byte header plus row-major (re, im) f64 pairs."""
-    header = _FIELD_HEADER.pack(
-        _FIELD_MAGIC, _FIELD_VERSION, field.grid.n, field.grid.dx
-    )
-    header = header.ljust(_FIELD_HEADER_SIZE, b"\x00")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(field.amplitude, dtype="<c16").tobytes())
-
-
-def read_field(path) -> ComplexField:
-    with open(path, "rb") as fh:
-        header = fh.read(_FIELD_HEADER_SIZE)
-        if len(header) < _FIELD_HEADER_SIZE:
-            raise ValueError(f"truncated field header in {path}")
-        magic, version, n, dx = _FIELD_HEADER.unpack(header[: _FIELD_HEADER.size])
-        if magic != _FIELD_MAGIC:
-            raise ValueError(f"bad magic {magic!r} in {path}")
-        if version != _FIELD_VERSION:
-            raise ValueError(f"unsupported field format version {version}")
-        raw = fh.read(n * n * 16)
-    if len(raw) != n * n * 16:
-        raise ValueError(f"truncated field data in {path}")
-    amplitude = np.frombuffer(raw, dtype="<c16").reshape(n, n).copy()
-    return ComplexField(grid=Grid2D(n=n, dx=dx), amplitude=amplitude)

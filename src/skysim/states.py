@@ -12,6 +12,9 @@ Tomography follows the standard over-complete six-projector scheme per
 arm: both logical basis states plus four equatorial superpositions. The
 36 pair probabilities sum to 9 times the trace of the effective state,
 which is what lets the reconstruction renormalize away channel loss.
+Reconstruction is one fixed pseudo-inverse from the 36 settings to the
+15 Pauli components of the state (see `pauli_components`), followed by
+a repair when that linear solution is not positive.
 """
 
 from __future__ import annotations
@@ -44,11 +47,9 @@ __all__ = [
     "screen_digest",
 ]
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# _PAULI_PAIRS[mu, nu] = sigma_mu x sigma_nu, with sigma_0 the identity.
+_PAULI_PAIRS = np.einsum("mij,nkl->mnikjl", _PAULI, _PAULI).reshape(4, 4, 4, 4)
 
 _PROVENANCE_KEYS = ("state_id", "omega", "seed", "screen_hash")
 
@@ -71,7 +72,7 @@ class Projector:
     def bloch(self) -> np.ndarray:
         """Real Bloch vector <v|sigma|v>."""
         return np.array(
-            [np.real(np.conj(self.ket) @ (s @ self.ket)) for s in _PAULI]
+            [np.real(np.conj(self.ket) @ (s @ self.ket)) for s in _PAULI[1:]]
         )
 
 
@@ -318,25 +319,34 @@ def simulate_tomography(
     return TomographyRecord("counts", entries, provenance, count_model=count_model)
 
 
-def _design_matrix() -> np.ndarray:
-    """36x15 map from (locals A, locals B, correlations) to 4p - 1."""
-    rows = []
-    for pa, pb in projector_pairs():
-        na, nb = pa.bloch(), pb.bloch()
-        rows.append(np.concatenate([na, nb, np.outer(na, nb).ravel()]))
-    return np.array(rows)
+def pauli_components(matrix: np.ndarray) -> np.ndarray:
+    """Real 4x4 r[mu, nu] = tr rho (sigma_mu x sigma_nu), sigma_0 = I.
+
+    For a unit-trace rho, r[0, 0] = 1, r[1:, 0] and r[0, 1:] are the
+    Bloch vectors of arms A and B, and r[1:, 1:] is the correlation
+    matrix.
+    """
+    return np.einsum("mnij,ji->mn", _PAULI_PAIRS, matrix).real
 
 
-def _params_to_matrix(x: np.ndarray) -> np.ndarray:
-    eye = np.eye(2, dtype=complex)
-    rho = np.kron(eye, eye).astype(complex)
-    for i, s in enumerate(_PAULI):
-        rho += x[i] * np.kron(s, eye)
-        rho += x[3 + i] * np.kron(eye, s)
-    for i, si in enumerate(_PAULI):
-        for j, sj in enumerate(_PAULI):
-            rho += x[6 + 3 * i + j] * np.kron(si, sj)
-    return rho / 4.0
+def _from_pauli_components(r: np.ndarray) -> np.ndarray:
+    """The inverse of pauli_components: rho = sum r[mu, nu] sigma_mu x sigma_nu / 4."""
+    return np.einsum("mn,mnij->ij", r, _PAULI_PAIRS) / 4.0
+
+
+# Row k is pauli_components of projector pair k, outer((1, n_a), (1, n_b)),
+# without its [0, 0] entry, so 4 p_k - 1 = row k . r.ravel()[1:].
+_DESIGN = np.array(
+    [
+        np.outer([1, *a.bloch()], [1, *b.bloch()]).ravel()[1:]
+        for a, b in projector_pairs()
+    ]
+)
+# The local Bloch vectors are +-x, +-y, +-z: they sum to zero and their
+# outer products to 2I, so the 15 columns are orthogonal. The pseudo-inverse,
+# which gives the unique least-squares fit, is then the transpose scaled by
+# the squared column norms, with no factorisation at import.
+_DESIGN_PINV = _DESIGN.T / np.sum(_DESIGN**2, axis=0)[:, None]
 
 
 def reconstruct_density(
@@ -345,17 +355,18 @@ def reconstruct_density(
 ):
     """Invert a tomography record to a valid density matrix.
 
-    The linear least-squares inversion over 15 Pauli parameters is exact
-    on noiseless records. Counts records first subtract the expected
-    accidentals and are additionally refined by a multi-start nonlinear
-    fit, kept only when it lowers the residual. Probabilities are scaled
-    so the 36 settings sum to 9, absorbing channel loss and flux into a
-    single recorded renormalization. An indefinite linear solution is
-    repaired by squaring (rho -> rho.rho / tr), which preserves valid
-    solutions that were already positive.
+    A fixed linear least-squares inversion over the 15 Pauli components,
+    exact on noiseless records. Counts records first subtract the
+    expected accidentals. Probabilities are scaled so the 36 settings
+    sum to 9, absorbing channel loss and flux into a single recorded
+    renormalization. An indefinite linear solution is repaired by
+    squaring (rho -> rho.rho / tr), which preserves valid solutions that
+    were already positive.
 
     Returns the DensityMatrix4, or (DensityMatrix4, diagnostics dict)
-    when return_diagnostics is set.
+    when return_diagnostics is set. The diagnostics hold the record
+    kind, the renormalization, the linear residual, the method (always
+    "linear") and whether the repair ran.
     """
     raw = record.values()
     diagnostics: dict = {"kind": record.kind}
@@ -375,20 +386,12 @@ def reconstruct_density(
     probs = probs * renorm
     diagnostics["renormalization"] = renorm
 
-    design = _design_matrix()
     target = 4.0 * probs - 1.0
-    x, *_ = np.linalg.lstsq(design, target, rcond=None)
-    residual = float(np.sum((design @ x - target) ** 2))
-    diagnostics["linear_residual"] = residual
+    x = _DESIGN_PINV @ target
+    diagnostics["linear_residual"] = float(np.sum((_DESIGN @ x - target) ** 2))
     diagnostics["method"] = "linear"
 
-    if record.kind == "counts":
-        x, residual, used = _iterative_refine(design, target, x, residual, record)
-        if used:
-            diagnostics["method"] = "iterative"
-        diagnostics["iterative_residual"] = residual
-
-    rho = _params_to_matrix(x)
+    rho = _from_pauli_components(np.concatenate([[1.0], x]).reshape(4, 4))
     rho = (rho + rho.conj().T) / 2.0
     eigmin = float(np.linalg.eigvalsh(rho).min())
     diagnostics["repaired"] = eigmin < -1e-10
@@ -401,29 +404,6 @@ def reconstruct_density(
     if return_diagnostics:
         return result, diagnostics
     return result
-
-
-def _iterative_refine(design, target, x0, res0, record):
-    """Multi-start nonlinear least squares seeded from the linear solution."""
-    from scipy.optimize import least_squares
-
-    def fun(p):
-        return design @ p - target
-
-    seed = int(record.provenance.get("counts_seed", record.provenance.get("seed", 0)))
-    rng = np.random.default_rng(seed + 0x5EED)
-    best_p, best_res = x0, res0
-    starts = [x0] + [x0 + rng.normal(scale=0.05, size=x0.shape) for _ in range(7)]
-    improved = False
-    for s in starts:
-        try:
-            sol = least_squares(fun, s, method="lm", max_nfev=200)
-        except Exception:
-            continue
-        res = float(np.sum(sol.fun**2))
-        if res < best_res - 1e-15:
-            best_p, best_res, improved = sol.x, res, True
-    return best_p, best_res, improved
 
 
 def _complex_pairs(m: np.ndarray) -> list:

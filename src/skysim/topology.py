@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from skysim.modes import Grid2D, LGMode, lg_field
-from skysim.states import BipartitePureState, DensityMatrix4
+from skysim.states import BipartitePureState, DensityMatrix4, pauli_components
 
 __all__ = [
     "DegenerateFieldError",
@@ -37,9 +37,6 @@ __all__ = [
     "skyrmion_number",
 ]
 
-_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-# _PAULI_PAIRS[mu, nu] = sigma_mu x sigma_nu, with sigma_0 the identity.
-_PAULI_PAIRS = np.einsum("mij,nkl->mnikjl", _PAULI, _PAULI).reshape(4, 4, 4, 4)
 # Volumes and norms at this level are rounding, not a physical ellipsoid.
 _ROUNDING = 1e-12
 
@@ -102,15 +99,15 @@ def spatial_density(
 def skyrmion_number(
     rho: DensityMatrix4,
     state: BipartitePureState,
-    grid: Grid2D,
-    w0: float,
+    grid: Grid2D | None = None,
+    w0: float | None = None,
     channel: np.ndarray | None = None,
     return_details: bool = False,
 ):
     """Sphere-wrapping number of the position-conditioned Bloch field.
 
-    Exact and independent of the sampling: `grid` and `w0` are accepted
-    for the texture they describe but not read. An optional 2x2
+    Exact and independent of the sampling: `grid` and `w0` may be given
+    for the texture they describe but are not read. An optional 2x2
     `channel` acts on arm B first, as in `spatial_density`. A number of
     the opposite sign to the target is an orientation reversal of the
     state's steering ellipsoid, not an error.
@@ -123,7 +120,7 @@ def skyrmion_number(
     Bloch ball and 0 when it reaches the sphere.
     """
     m = _through_channel(rho.matrix, channel)
-    r = np.einsum("mnij,ji->mn", _PAULI_PAIRS, m).real
+    r = pauli_components(m)
     a, b, t = r[1:, 0], r[0, 1:], r[1:, 1:]
     purity_gap = 1.0 - a @ a
     if purity_gap <= _ROUNDING:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import skysim
 from skysim.cli import main, write_calibration_tables
 
 W0 = 0.9375e-3
@@ -246,7 +248,7 @@ class TestRun:
 class TestTopologyCommand:
     def test_ideal_state_csv(self, capsys):
         code, stdout, _ = run_cli(
-            ["topology", "--state", "0_1", "--grid-n", "128"], capsys
+            ["topology", "--state", "0_1"], capsys
         )
         assert code == 0
         rows = dict(
@@ -265,7 +267,7 @@ class TestTopologyCommand:
         code, _, _ = run_cli(
             [
                 "topology", "--state", "0_2", "--density", str(path),
-                "--grid-n", "128", "--format", "json", "--out", str(out),
+                "--format", "json", "--out", str(out),
             ],
             capsys,
         )
@@ -356,22 +358,26 @@ class TestReport:
         assert "skyrmion number" in out.read_text()
 
 
+def run_module(*argv):
+    """Run `python -m skysim.cli` on the package the suite imported."""
+    env = dict(os.environ, PYTHONPATH=str(Path(skysim.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "skysim.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "skysim.cli", "--help"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "screens" in proc.stdout
         assert "calibrate" in proc.stdout
         assert "report" in proc.stdout
 
     def test_module_invocation_usage_error_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "skysim.cli", "screens"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("screens")
         assert proc.returncode == 1
+        assert "--out" in proc.stderr

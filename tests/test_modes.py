@@ -1,4 +1,4 @@
-"""Grid arithmetic, LG mode sampling, spectra, and field file round-trips."""
+"""Grid arithmetic, LG mode sampling, and azimuthal spectra."""
 
 import numpy as np
 import pytest
@@ -13,9 +13,6 @@ from skysim.modes import (
     effective_radius,
     lg_field,
     make_grid,
-    oam_spectrum,
-    read_field,
-    write_field,
 )
 
 W0 = 0.9375e-3
@@ -158,23 +155,6 @@ class TestOrthonormality:
 
 
 class TestOamSpectrum:
-    def test_pure_mode_concentrated(self):
-        g = workhorse_grid()
-        f = lg_field(LGMode(ell=1, w0=W0), g)
-        spec = oam_spectrum(f, W0, (-5, 5))
-        assert spec.power(1) > 0.999
-        assert spec.total <= 1.0 + 1e-9
-
-    def test_equal_superposition(self):
-        g = workhorse_grid()
-        f0 = lg_field(LGMode(ell=0, w0=W0), g)
-        f1 = lg_field(LGMode(ell=1, w0=W0), g)
-        mix = ComplexField(g, (f0.amplitude + f1.amplitude) / np.sqrt(2))
-        spec = oam_spectrum(mix, W0, (-3, 3))
-        assert spec.power(0) == pytest.approx(0.5, abs=1e-3)
-        assert spec.power(1) == pytest.approx(0.5, abs=1e-3)
-        assert spec.total <= 1.0 + 1e-9
-
     def test_azimuthal_classes_complete(self):
         # class powers cover all radial content, so they sum to the field
         # power even for fields that are not p = 0 superpositions
@@ -200,47 +180,14 @@ class TestOamSpectrum:
             azimuthal_spectrum(f, (-40, 40), n_angles=64)
 
     def test_out_of_range_lookup(self):
-        g = workhorse_grid()
+        g = workhorse_grid(128)
         f = lg_field(LGMode(ell=0, w0=W0), g)
-        spec = oam_spectrum(f, W0, (-2, 2))
+        spec = azimuthal_spectrum(f, (-2, 2))
         with pytest.raises(KeyError):
             spec.power(7)
 
     def test_empty_range_rejected(self):
-        g = workhorse_grid()
+        g = workhorse_grid(128)
         f = lg_field(LGMode(ell=0, w0=W0), g)
-        with pytest.raises(ValueError):
-            oam_spectrum(f, W0, (3, -3))
-
-
-class TestFieldIO:
-    def test_round_trip(self, tmp_path):
-        f = lg_field(LGMode(ell=2, w0=W0), make_grid(64, 8 * W0))
-        path = tmp_path / "mode.skyf"
-        write_field(f, path)
-        back = read_field(path)
-        assert back.grid.n == f.grid.n
-        assert back.grid.dx == f.grid.dx
-        assert np.array_equal(back.amplitude, f.amplitude)
-
-    def test_header_layout(self, tmp_path):
-        f = lg_field(LGMode(ell=0, w0=W0), make_grid(64, 8 * W0))
-        path = tmp_path / "mode.skyf"
-        write_field(f, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"SKYF"
-        assert len(raw) == 32 + 64 * 64 * 16
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.skyf"
-        path.write_bytes(b"NOPE" + b"\x00" * 60)
-        with pytest.raises(ValueError, match="magic"):
-            read_field(path)
-
-    def test_truncated_rejected(self, tmp_path):
-        f = lg_field(LGMode(ell=0, w0=W0), make_grid(64, 8 * W0))
-        path = tmp_path / "mode.skyf"
-        write_field(f, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            read_field(path)
+        with pytest.raises(ValueError, match="empty"):
+            azimuthal_spectrum(f, (3, -3))
