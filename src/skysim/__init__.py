@@ -24,10 +24,8 @@ from skysim.turbulence import (
 )
 from skysim.channel import (
     CountModel,
-    CrosstalkMatrix,
     apply_screen,
     crosstalk_amplitude,
-    crosstalk_matrix,
     effective_channel,
     projective_probability,
     survival_probability_analytic,

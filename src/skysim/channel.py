@@ -7,8 +7,8 @@ content is summarised by crosstalk amplitudes
     t(ell_in -> ell_out) = <LG_out | exp(i*phi) | LG_in>
 
 evaluated as pixel sums. Truncating the output index window discards a
-little power; the unitarity deficit of a crosstalk matrix column measures
-how much, and stays below a percent for the windows used here.
+little power; the unitarity deficit of the amplitudes out of one input
+measures how much, and stays below a percent for the windows used here.
 
 Coincidence counting is modelled as Poisson statistics on top of expected
 rates, with accidental coincidences entering at gate * singles_a *
@@ -26,11 +26,9 @@ from skysim.modes import ComplexField, LGMode, lg_field
 from skysim.turbulence import PhaseScreen
 
 __all__ = [
-    "CrosstalkMatrix",
     "CountModel",
     "apply_screen",
     "crosstalk_amplitude",
-    "crosstalk_matrix",
     "effective_channel",
     "projective_probability",
     "survival_probability_analytic",
@@ -65,60 +63,6 @@ def crosstalk_amplitude(
     return complex(np.sum(np.conj(fout.amplitude) * screened) * grid.dx**2)
 
 
-@dataclass
-class CrosstalkMatrix:
-    """Scattering amplitudes, outputs along rows and inputs along columns.
-
-    amplitude[j, i] couples ells_in[i] to ells_out[j]. Column powers may
-    fall short of one when the output window truncates scattered light,
-    but can never meaningfully exceed it.
-    """
-
-    ells_in: tuple[int, ...]
-    ells_out: tuple[int, ...]
-    amplitude: np.ndarray
-
-    def __post_init__(self):
-        expected = (len(self.ells_out), len(self.ells_in))
-        if self.amplitude.shape != expected:
-            raise ValueError(
-                f"amplitude shape {self.amplitude.shape}, expected {expected}"
-            )
-        if np.any(self.column_powers() > 1.0 + 1e-9):
-            raise ValueError("crosstalk column power exceeds unity")
-
-    def column_powers(self) -> np.ndarray:
-        """Total captured power per input mode; 1 minus this is the
-        truncation loss of the output window."""
-        return np.sum(np.abs(self.amplitude) ** 2, axis=0)
-
-    def entry(self, ell_in: int, ell_out: int) -> complex:
-        i = self.ells_in.index(ell_in)
-        j = self.ells_out.index(ell_out)
-        return complex(self.amplitude[j, i])
-
-
-def crosstalk_matrix(
-    ells_in, ells_out, screen: PhaseScreen, w0: float
-) -> CrosstalkMatrix:
-    """Scattering amplitudes for all input/output index pairs at once."""
-    ells_in = tuple(int(e) for e in ells_in)
-    ells_out = tuple(int(e) for e in ells_out)
-    grid = screen.grid
-    cache: dict[int, np.ndarray] = {}
-
-    def mode(ell):
-        if ell not in cache:
-            cache[ell] = lg_field(LGMode(ell=ell, w0=w0), grid).amplitude
-        return cache[ell]
-
-    phase = np.exp(1j * screen.phase)
-    screened = np.stack([mode(e) * phase for e in ells_in])
-    outs = np.stack([mode(e) for e in ells_out])
-    amp = np.einsum("jxy,ixy->ji", np.conj(outs), screened) * grid.dx**2
-    return CrosstalkMatrix(ells_in=ells_in, ells_out=ells_out, amplitude=amp)
-
-
 def effective_channel(state, screen: PhaseScreen | None, w0: float) -> np.ndarray:
     """2x2 channel matrix on the logical basis of the unscreened photon's
     partner. Entry [j, k] couples logical k to logical j through the
@@ -129,30 +73,26 @@ def effective_channel(state, screen: PhaseScreen | None, w0: float) -> np.ndarra
     """
     if screen is None:
         return np.eye(2, dtype=complex)
-    b0, b1 = state.ells_b
-    m = crosstalk_matrix((b0, b1), (b0, b1), screen, w0)
-    return m.amplitude
+    grid = screen.grid
+    modes = np.stack(
+        [lg_field(LGMode(ell=ell, w0=w0), grid).amplitude for ell in state.ells_b]
+    )
+    screened = modes * np.exp(1j * screen.phase)
+    return np.einsum("jxy,kxy->jk", np.conj(modes), screened) * grid.dx**2
 
 
 def projective_probability(
-    state,
-    proj_a,
-    proj_b,
-    screen: PhaseScreen | None = None,
-    w0: float | None = None,
-    channel: np.ndarray | None = None,
+    state, proj_a, proj_b, channel: np.ndarray | None = None
 ) -> float:
     """Coincidence probability for one projector pair.
 
     The state is Schmidt-diagonal in its logical basis, the channel acts
     on photon B only, and the projectors are given as logical-basis kets.
-    Pass `channel` to reuse a precomputed 2x2 matrix; otherwise it is
-    built from `screen` (which then requires `w0`).
+    `channel` is the 2x2 matrix of `effective_channel`; None is the
+    identity.
     """
     if channel is None:
-        if screen is not None and w0 is None:
-            raise ValueError("building the channel from a screen requires w0")
-        channel = effective_channel(state, screen, w0)
+        channel = np.eye(2)
     c = np.asarray(state.branch_amplitudes)
     alpha = np.asarray(proj_a.ket)
     beta = np.asarray(proj_b.ket)

@@ -7,10 +7,8 @@ import pytest
 
 from skysim.channel import (
     CountModel,
-    CrosstalkMatrix,
     apply_screen,
     crosstalk_amplitude,
-    crosstalk_matrix,
     effective_channel,
     projective_probability,
     survival_probability_analytic,
@@ -52,19 +50,21 @@ class TestCrosstalk:
 
     def test_matrix_matches_single_amplitudes(self):
         s = screen_for(1.0, 11)
-        m = crosstalk_matrix((0, -1), (-2, -1, 0, 1), s, W0)
-        for ell_in in (0, -1):
-            for ell_out in (-2, -1, 0, 1):
+        state = SimpleNamespace(ells_b=(0, -1))
+        t = effective_channel(state, s, W0)
+        for k, ell_in in enumerate(state.ells_b):
+            for j, ell_out in enumerate(state.ells_b):
                 direct = crosstalk_amplitude(ell_in, ell_out, s, W0)
-                assert m.entry(ell_in, ell_out) == pytest.approx(direct, abs=1e-12)
+                assert t[j, k] == pytest.approx(direct, abs=1e-12)
 
     def test_turbulence_spreads_power(self):
         s = screen_for(2.0, 21)
-        m = crosstalk_matrix((0,), range(-10, 11), s, W0)
-        powers = np.abs(m.amplitude[:, 0]) ** 2
-        survived = powers[m.ells_out.index(0)]
+        powers = {
+            ell: abs(crosstalk_amplitude(0, ell, s, W0)) ** 2 for ell in range(-10, 11)
+        }
+        survived = powers[0]
         assert survived < 0.7
-        assert powers.sum() > survived
+        assert sum(powers.values()) > survived
 
     @pytest.mark.parametrize("ell_in", [0, 1])
     def test_window_captures_most_power(self, ell_in):
@@ -96,15 +96,15 @@ class TestCrosstalk:
         assert captures[-1] == pytest.approx(1.0, abs=2e-2)
 
     def test_column_powers_bounded(self):
+        # The power scattered out of one input, summed over a truncated
+        # output window, can fall short of one but never exceed it.
         s = screen_for(2.0, 41)
-        m = crosstalk_matrix((0, 1), range(-10, 12), s, W0)
-        assert np.all(m.column_powers() <= 1.0 + 1e-9)
-
-    def test_overfull_column_rejected(self):
-        with pytest.raises(ValueError, match="column power"):
-            CrosstalkMatrix(
-                ells_in=(0,), ells_out=(0, 1), amplitude=np.array([[1.0], [0.5]])
+        for ell_in in (0, 1):
+            captured = sum(
+                abs(crosstalk_amplitude(ell_in, ell_out, s, W0)) ** 2
+                for ell_out in range(-10, 12)
             )
+            assert captured <= 1.0 + 1e-9, ell_in
 
 
 class TestEffectiveChannel:
@@ -129,21 +129,6 @@ class TestEffectiveChannel:
         assert projective_probability(st, z0, z1) == pytest.approx(0.0, abs=1e-15)
         assert projective_probability(st, plus, plus) == pytest.approx(0.5)
         assert projective_probability(st, plus, minus) == pytest.approx(0.0, abs=1e-15)
-
-    def test_screen_requires_waist(self):
-        st = self.bell_like()
-        z0 = SimpleNamespace(ket=np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="w0"):
-            projective_probability(st, z0, z0, screen=screen_for(1.0, 5))
-
-    def test_precomputed_channel_agrees(self):
-        st = self.bell_like()
-        s = screen_for(1.0, 17)
-        z0 = SimpleNamespace(ket=np.array([1.0, 0.0]))
-        t = effective_channel(st, s, W0)
-        p_direct = projective_probability(st, z0, z0, screen=s, w0=W0)
-        p_cached = projective_probability(st, z0, z0, channel=t)
-        assert p_cached == pytest.approx(p_direct, abs=1e-15)
 
 
 class TestSurvival:
