@@ -222,6 +222,8 @@ def _cmd_calibrate(args, parser) -> int:
 
     omegas = _parse_omegas(args.omegas, parser)
     _check_screen_flags(args, parser)
+    if args.window < 0:
+        parser.error(f"--window: must be >= 0, got {args.window}")
     result = run_calibration(
         omegas,
         n_screens=args.n_screens,
@@ -315,6 +317,8 @@ def _cmd_topology(args, parser) -> int:
 
 
 def _cmd_witness(args, parser) -> int:
+    from dataclasses import asdict
+
     from skysim.states import DensityMatrix4
     from skysim.witnesses import discord, evaluate_witnesses
 
@@ -322,16 +326,8 @@ def _cmd_witness(args, parser) -> int:
     rho = _load_density(args.density)
     target = DensityMatrix4.from_pure(state)
     report = evaluate_witnesses(rho, target, discord_reference=discord(target))
-    doc = {
-        "state": args.state,
-        "concurrence": report.concurrence,
-        "fidelity": report.fidelity,
-        "purity": report.purity,
-        "mutual_information": report.mutual_information,
-        "classical_correlation": report.classical_correlation,
-        "discord": report.discord,
-        "discord_normalized": report.discord_normalized,
-    }
+    doc = {"state": args.state, **asdict(report)}
+    del doc["diagnostics"]
     _emit(doc, args.format, args.out)
     return 0
 

@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from skysim.channel import CountModel, effective_channel
+# perfbench/tracing.py patches effective_channel here; nothing in this module calls it.
+from skysim.channel import CountModel, effective_channel  # noqa: F401
 from skysim.modes import Grid2D, make_grid
 from skysim.states import (
     BipartitePureState,
@@ -58,6 +59,8 @@ __all__ = [
 
 DEFAULT_WAIST = 0.9375e-3
 
+# The columns of witnesses.csv and summary.csv: WitnessReport fields, then
+# the wrapping number.
 _WITNESS_COLUMNS = (
     "concurrence",
     "fidelity",
@@ -83,14 +86,14 @@ class RunConfig:
     mode: str = "static"
     n_subharmonics: int = 5
     count_model: CountModel | None = None
-    use_tomography: bool = True
-    window: int = 10
 
     def __post_init__(self):
         known = catalog()
         for s in self.states:
             if s not in known:
                 raise ValueError(f"unknown state id {s!r}")
+        if len(set(self.states)) != len(self.states):
+            raise ValueError(f"duplicate state ids in {self.states}")
         if self.realisations < 1:
             raise ValueError("need at least one realisation")
         if self.mode not in ("static", "ensemble"):
@@ -100,6 +103,12 @@ class RunConfig:
         for omega in self.omegas:
             if omega < 0:
                 raise ValueError(f"turbulence strength must be >= 0, got {omega}")
+        dirnames = [_omega_dirname(omega) for omega in self.omegas]
+        if len(set(dirnames)) != len(dirnames):
+            raise ValueError(
+                f"strengths {self.omegas} share an output directory "
+                f"({', '.join(dirnames)})"
+            )
 
     def grid(self) -> Grid2D:
         return make_grid(self.grid_n, self.extent_factor * self.w0)
@@ -109,8 +118,6 @@ def config_to_json(config: RunConfig) -> dict:
     doc = asdict(config)
     doc["states"] = list(config.states)
     doc["omegas"] = [float(o) for o in config.omegas]
-    if config.count_model is not None:
-        doc["count_model"] = asdict(config.count_model)
     return doc
 
 
@@ -231,16 +238,8 @@ def _realise(
         omega=res.omega,
     )
     res.record_doc = record_to_json(record)
-    if config.use_tomography:
-        rho, diag = reconstruct_density(record, return_diagnostics=True)
-        res.renormalization = diag["renormalization"]
-    else:
-        channel = effective_channel(state, screen, config.w0)
-        amps = state.branch_amplitudes
-        psi = np.kron(np.eye(2), channel) @ np.array([amps[0], 0, 0, amps[1]])
-        psi = psi / np.linalg.norm(psi)
-        rho = DensityMatrix4(np.outer(psi, psi.conj()))
-    res.rho = rho
+    res.rho, diag = reconstruct_density(record, return_diagnostics=True)
+    res.renormalization = diag["renormalization"]
 
 
 def _evaluate(
@@ -263,19 +262,6 @@ def _evaluate(
         res.sky_details = {"error": str(exc)}
 
 
-def _witness_doc(rep: WitnessReport) -> dict:
-    return {
-        "concurrence": rep.concurrence,
-        "fidelity": rep.fidelity,
-        "purity": rep.purity,
-        "mutual_information": rep.mutual_information,
-        "classical_correlation": rep.classical_correlation,
-        "discord": rep.discord,
-        "discord_normalized": rep.discord_normalized,
-        "diagnostics": rep.diagnostics,
-    }
-
-
 def _skyrmion_doc(res: _TaskResult) -> dict:
     return {"number": res.skyrmion, **res.sky_details}
 
@@ -289,38 +275,23 @@ def _member_doc(res: _TaskResult) -> dict:
     if res.report is not None:
         doc.update(
             renormalization=res.renormalization,
-            witnesses=_witness_doc(res.report),
+            witnesses=asdict(res.report),
             skyrmion=_skyrmion_doc(res),
         )
     return doc
 
 
-def _witness_row(res: _TaskResult) -> list:
-    rep = res.report
-    return [
-        res.state_id,
-        res.omega,
-        res.realisation,
-        rep.concurrence,
-        rep.fidelity,
-        rep.purity,
-        rep.mutual_information,
-        rep.classical_correlation,
-        rep.discord,
-        res.skyrmion,
-    ]
+def _witness_values(res: _TaskResult) -> list:
+    """One evaluated state's _WITNESS_COLUMNS; None for a missing number."""
+    doc = {**asdict(res.report), "skyrmion": res.skyrmion}
+    return [doc[col] for col in _WITNESS_COLUMNS]
 
 
 def _summary_row(state_id: str, omega: float, done: list[_TaskResult]) -> list:
     row: list = [state_id, omega, len(done)]
-    for col in _WITNESS_COLUMNS:
-        vals = np.array(
-            [
-                r.skyrmion if col == "skyrmion" else getattr(r.report, col)
-                for r in done
-                if not (col == "skyrmion" and r.skyrmion is None)
-            ]
-        )
+    table = [_witness_values(r) for r in done]
+    for j in range(len(_WITNESS_COLUMNS)):
+        vals = np.array([v[j] for v in table if v[j] is not None])
         if vals.size == 0:
             row += [None, None]
             continue
@@ -417,7 +388,10 @@ def _sweep(config: RunConfig, results_root, ensemble: bool) -> Path:
                 evaluated = [mean]
             else:
                 evaluated = []
-            witness_rows += [_witness_row(r) for r in evaluated]
+            witness_rows += [
+                [r.state_id, r.omega, r.realisation, *_witness_values(r)]
+                for r in evaluated
+            ]
             summary_rows.append(_summary_row(state_id, omega, evaluated))
     _write_witness_tables(run_dir, witness_rows, summary_rows)
     write_manifest(run_dir, cfg_hash, incomplete)
@@ -444,7 +418,7 @@ def _ensemble_doc(mean: _TaskResult, members: list[_TaskResult]) -> dict:
         "seeds": [m.record_doc["provenance"]["seed"] for m in members],
         "density": density_to_json(mean.rho),
         "purity": mean.report.purity,
-        "witnesses": _witness_doc(mean.report),
+        "witnesses": asdict(mean.report),
         "skyrmion": _skyrmion_doc(mean),
     }
 
@@ -452,18 +426,7 @@ def _ensemble_doc(mean: _TaskResult, members: list[_TaskResult]) -> dict:
 def _write_witness_tables(run_dir, witness_rows, summary_rows):
     _write_csv(
         run_dir / "witnesses.csv",
-        [
-            "state",
-            "omega",
-            "realisation",
-            "concurrence",
-            "fidelity",
-            "purity",
-            "mutual_information",
-            "classical_correlation",
-            "discord",
-            "skyrmion",
-        ],
+        ["state", "omega", "realisation", *_WITNESS_COLUMNS],
         witness_rows,
     )
     header = ["state", "omega", "n_ok"]
@@ -487,12 +450,15 @@ def run_calibration(
     For each strength, propagates the zero-index mode through fresh
     screens and accumulates the output spectrum over indices within
     +-window. Returns spectra and survival tables ready for CSV export.
-    Raises ValueError for fewer than one screen per strength.
+    Raises ValueError for fewer than one screen per strength or a
+    negative window.
     """
     from skysim.channel import crosstalk_amplitude, survival_probability_analytic
 
     if n_screens < 1:
         raise ValueError(f"need at least one screen per strength, got {n_screens}")
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
 
     grid = make_grid(grid_n, extent_factor * w0)
     ells = list(range(-window, window + 1))

@@ -65,15 +65,15 @@ class Grid2D:
 
 @dataclass(frozen=True)
 class LGMode:
-    """Laguerre-Gaussian mode label, radial index fixed at zero."""
+    """Laguerre-Gaussian mode label: azimuthal index and waist.
+
+    The radial index is zero for every mode here, so it is not a field.
+    """
 
     ell: int
     w0: float
-    p: int = 0
 
     def __post_init__(self):
-        if self.p != 0:
-            raise ValueError("only p = 0 modes are supported")
         if self.w0 <= 0:
             raise ValueError(f"waist must be positive, got w0={self.w0}")
 

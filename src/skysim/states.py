@@ -20,7 +20,7 @@ a repair when that linear solution is not positive.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -430,14 +430,7 @@ def record_to_json(record: TomographyRecord) -> dict:
         "provenance": dict(record.provenance),
     }
     if record.count_model is not None:
-        cm = record.count_model
-        doc["count_model"] = {
-            "pair_rate": cm.pair_rate,
-            "singles_rate_a": cm.singles_rate_a,
-            "singles_rate_b": cm.singles_rate_b,
-            "gate": cm.gate,
-            "integration": cm.integration,
-        }
+        doc["count_model"] = asdict(record.count_model)
     return doc
 
 

@@ -63,34 +63,16 @@ def mode_pair(
     return u0, u1
 
 
-def _through_channel(matrix: np.ndarray, channel: np.ndarray | None) -> np.ndarray:
-    """The 4x4 density after a 2x2 channel on arm B, trace-renormalized."""
-    if channel is None:
-        return matrix
-    e = np.asarray(channel, dtype=complex)
-    if e.shape != (2, 2):
-        raise ValueError(f"channel must be 2x2, got {e.shape}")
-    k = np.kron(np.eye(2), e)
-    out = k @ matrix @ k.conj().T
-    trace = np.trace(out).real
-    if trace <= 0:
-        raise ValueError("channel annihilates the state")
-    return out / trace
-
-
 def spatial_density(
-    rho: DensityMatrix4,
-    state: BipartitePureState,
-    grid: Grid2D,
-    w0: float,
-    channel: np.ndarray | None = None,
+    rho: DensityMatrix4, state: BipartitePureState, grid: Grid2D, w0: float
 ) -> np.ndarray:
     """Position-conditioned 2x2 density, shape (n, n, 2, 2).
 
-    An optional 2x2 channel matrix acts on the partner-arm indices
-    before conditioning, with trace renormalization.
+    Arm A is projected onto the state's mode pair at each pixel; arm B
+    is left as it is. The lattice reference of the test suite samples
+    the Bloch field from this.
     """
-    r4 = _through_channel(rho.matrix, channel).reshape(2, 2, 2, 2)
+    r4 = rho.matrix.reshape(2, 2, 2, 2)
     u0, u1 = mode_pair(state, grid, w0)
     modes = np.stack([u0, u1], axis=-1)
     return np.einsum("...i,...m,ijmn->...jn", modes, modes.conj(), r4)
@@ -101,16 +83,15 @@ def skyrmion_number(
     state: BipartitePureState,
     grid: Grid2D | None = None,
     w0: float | None = None,
-    channel: np.ndarray | None = None,
     return_details: bool = False,
 ):
     """Sphere-wrapping number of the position-conditioned Bloch field.
 
     Exact and independent of the sampling: `grid` and `w0` may be given
-    for the texture they describe but are not read. An optional 2x2
-    `channel` acts on arm B first, as in `spatial_density`. A number of
-    the opposite sign to the target is an orientation reversal of the
-    state's steering ellipsoid, not an error.
+    for the texture they describe but are not read. A channel on arm B
+    belongs in `rho` already. A number of the opposite sign to the
+    target is an orientation reversal of the state's steering
+    ellipsoid, not an error.
 
     Raises DegenerateFieldError when the steering ellipsoid has zero
     volume. With return_details=True also returns a dict with the
@@ -119,8 +100,7 @@ def skyrmion_number(
     arm B sits at c; the margin is 1 when n_c is the centre of the
     Bloch ball and 0 when it reaches the sphere.
     """
-    m = _through_channel(rho.matrix, channel)
-    r = pauli_components(m)
+    r = pauli_components(rho.matrix)
     a, b, t = r[1:, 0], r[0, 1:], r[1:, 1:]
     purity_gap = 1.0 - a @ a
     if purity_gap <= _ROUNDING:

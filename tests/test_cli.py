@@ -71,6 +71,29 @@ class TestExitCodes:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_window_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["calibrate", "--window", "-1", "--out", str(tmp_path / "out")])
+        assert err.value.code == 1
+        assert "--window" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("window", 10), ("use_tomography", True)])
+    def test_config_with_removed_key_is_runtime_error(
+        self, key, value, tmp_path, capsys
+    ):
+        # config.json files written before these fields were removed
+        config = {"states": ["0_1"], "omegas": [0.5], "realisations": 1,
+                  "grid_n": 128, key: value}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(
+            ["run", "--config", str(path), "--out", str(tmp_path / "res")], capsys
+        )
+        assert code == 2
+        assert "TypeError" in err and key in err
+        assert not (tmp_path / "res").exists()
+
     def test_missing_config_is_runtime_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["run", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)],
@@ -290,6 +313,10 @@ class TestWitnessCommand:
         rows = dict(
             line.split(",", 1) for line in stdout.strip().splitlines()[1:]
         )
+        assert list(rows) == [
+            "state", "concurrence", "fidelity", "purity", "mutual_information",
+            "classical_correlation", "discord", "discord_normalized",
+        ]
         assert float(rows["concurrence"]) == pytest.approx(1.0, abs=1e-6)
         assert float(rows["fidelity"]) == pytest.approx(1.0, abs=1e-6)
         assert float(rows["discord_normalized"]) == pytest.approx(1.0, abs=1e-3)

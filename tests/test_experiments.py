@@ -51,6 +51,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=">= 0"):
             RunConfig(omegas=(-0.5,))
 
+    @pytest.mark.parametrize("omegas", [(0.251, 0.254), (1.0, 1.0), (0.5, 1, 1.0)])
+    def test_strengths_sharing_a_directory_rejected(self, omegas):
+        # (0.251, 0.254) would both write omega-0.25/, the second
+        # overwriting the first's realisation files.
+        with pytest.raises(ValueError, match="share an output directory"):
+            RunConfig(states=("0_1",), omegas=omegas, realisations=1, grid_n=128)
+
+    def test_duplicate_states_rejected(self):
+        with pytest.raises(ValueError, match="duplicate state"):
+            RunConfig(states=("0_1", "0_2", "0_1"))
+
     def test_json_round_trip_with_count_model(self):
         cfg = RunConfig(count_model=CountModel(pair_rate=1e4), master_seed=3)
         back = config_from_json(config_to_json(cfg))
@@ -358,3 +369,12 @@ class TestCalibration:
     def test_no_screens_rejected(self, n_screens):
         with pytest.raises(ValueError, match="at least one screen"):
             run_calibration((0.5,), n_screens=n_screens, grid_n=64)
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError, match="window"):
+            run_calibration((0.5,), n_screens=1, grid_n=64, window=-1)
+
+    def test_zero_window_is_the_survival_alone(self):
+        out = run_calibration((0.5,), n_screens=1, seed=50002, grid_n=128, window=0)
+        assert [row[1] for row in out["spectra"]] == [0]
+        assert out["spectra"][0][2] == out["survival"][0][1]

@@ -122,10 +122,6 @@ class TestLGField:
         with pytest.raises(SamplingError):
             lg_field(LGMode(ell=5, w0=W0), g)
 
-    def test_p_nonzero_rejected(self):
-        with pytest.raises(ValueError):
-            LGMode(ell=0, w0=W0, p=1)
-
 
 class TestEffectiveRadius:
     def test_values(self):
