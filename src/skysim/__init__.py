@@ -27,13 +27,11 @@ from skysim.channel import (
     apply_screen,
     crosstalk_amplitude,
     effective_channel,
-    projective_probability,
     survival_probability_analytic,
 )
 from skysim.states import (
     BipartitePureState,
     DensityMatrix4,
-    Projector,
     TomographyRecord,
     catalog,
     density_from_json,
@@ -41,12 +39,11 @@ from skysim.states import (
     ensemble_average,
     make_state,
     partial_trace,
-    projector_pairs,
+    projective_probability,
     reconstruct_density,
     record_from_json,
     record_to_json,
     simulate_tomography,
-    tomography_set,
 )
 from skysim.witnesses import (
     WitnessReport,

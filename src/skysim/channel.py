@@ -30,7 +30,6 @@ __all__ = [
     "apply_screen",
     "crosstalk_amplitude",
     "effective_channel",
-    "projective_probability",
     "survival_probability_analytic",
 ]
 
@@ -79,26 +78,6 @@ def effective_channel(state, screen: PhaseScreen | None, w0: float) -> np.ndarra
     )
     screened = modes * np.exp(1j * screen.phase)
     return np.einsum("jxy,kxy->jk", np.conj(modes), screened) * grid.dx**2
-
-
-def projective_probability(
-    state, proj_a, proj_b, channel: np.ndarray | None = None
-) -> float:
-    """Coincidence probability for one projector pair.
-
-    The state is Schmidt-diagonal in its logical basis, the channel acts
-    on photon B only, and the projectors are given as logical-basis kets.
-    `channel` is the 2x2 matrix of `effective_channel`; None is the
-    identity.
-    """
-    if channel is None:
-        channel = np.eye(2)
-    c = np.asarray(state.branch_amplitudes)
-    alpha = np.asarray(proj_a.ket)
-    beta = np.asarray(proj_b.ket)
-    # amplitude = sum_k c_k <alpha|k> <beta| T |k>
-    amp = np.sum(c * np.conj(alpha) * (np.conj(beta) @ channel))
-    return float(np.abs(amp) ** 2)
 
 
 def survival_probability_analytic(omega: float) -> float:

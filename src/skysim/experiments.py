@@ -28,7 +28,7 @@ import numpy as np
 
 # perfbench/tracing.py patches effective_channel here; nothing in this module calls it.
 from skysim.channel import CountModel, effective_channel  # noqa: F401
-from skysim.modes import Grid2D, make_grid
+from skysim.modes import Grid2D, LGMode, _check_resolution, make_grid
 from skysim.states import (
     BipartitePureState,
     DensityMatrix4,
@@ -451,7 +451,8 @@ def run_calibration(
     screens and accumulates the output spectrum over indices within
     +-window. Returns spectra and survival tables ready for CSV export.
     Raises ValueError for fewer than one screen per strength or a
-    negative window.
+    negative window, and SamplingError, before any screen is drawn, when
+    the grid cannot resolve every mode in the window.
     """
     from skysim.channel import crosstalk_amplitude, survival_probability_analytic
 
@@ -461,6 +462,10 @@ def run_calibration(
         raise ValueError(f"window must be >= 0, got {window}")
 
     grid = make_grid(grid_n, extent_factor * w0)
+    # Mode radius grows with |ell|, so these two bound the whole window;
+    # an unresolvable one fails here, before any screen is drawn.
+    for ell in (0, window):
+        _check_resolution(LGMode(ell=ell, w0=w0), grid)
     ells = list(range(-window, window + 1))
     spectra_rows, survival_rows = [], []
     for omega_idx, omega in enumerate(omegas):

@@ -125,10 +125,6 @@ class OamSpectrum:
     def total(self) -> float:
         return float(self.powers.sum())
 
-    @property
-    def ells(self) -> np.ndarray:
-        return np.arange(self.ell_min, self.ell_max + 1)
-
 
 def make_grid(n: int, extent: float) -> Grid2D:
     """Build a grid of n x n samples covering a square of side `extent`."""

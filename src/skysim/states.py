@@ -9,9 +9,13 @@ branch 2 to |1> on each arm. All density matrices use the product basis
 (|00>, |01>, |10>, |11>) with photon A first.
 
 Tomography follows the standard over-complete six-projector scheme per
-arm: both logical basis states plus four equatorial superpositions. The
-36 pair probabilities sum to 9 times the trace of the effective state,
-which is what lets the reconstruction renormalize away channel loss.
+arm: both logical basis states plus four equatorial superpositions. One
+private table holds the six projectors, and three things are read from
+it: the forward model (`projective_probability`, all 36 pair
+probabilities through the 2x2 channel of the screened arm), the order
+of a record's settings, and the reconstruction design. The 36 pair
+probabilities sum to 9 times the trace of the effective state, which is
+what lets the reconstruction renormalize away channel loss.
 Reconstruction is one fixed pseudo-inverse from the 36 settings to the
 15 Pauli components of the state (see `pauli_components`), followed by
 a repair when that linear solution is not positive.
@@ -24,18 +28,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from skysim.channel import CountModel, effective_channel, projective_probability
+from skysim.channel import CountModel, effective_channel
 from skysim.turbulence import PhaseScreen
 
 __all__ = [
-    "Projector",
     "BipartitePureState",
     "DensityMatrix4",
     "TomographyRecord",
     "make_state",
     "catalog",
-    "tomography_set",
-    "projector_pairs",
+    "projective_probability",
     "simulate_tomography",
     "reconstruct_density",
     "ensemble_average",
@@ -54,51 +56,24 @@ _PAULI_PAIRS = np.einsum("mij,nkl->mnikjl", _PAULI, _PAULI).reshape(4, 4, 4, 4)
 _PROVENANCE_KEYS = ("state_id", "omega", "seed", "screen_hash")
 
 
-@dataclass
-class Projector:
-    """Rank-one local projector given as a normalized logical ket."""
-
-    label: str
-    ket: np.ndarray
-
-    def __post_init__(self):
-        self.ket = np.asarray(self.ket, dtype=complex)
-        if self.ket.shape != (2,):
-            raise ValueError(f"projector ket must be length 2, got {self.ket.shape}")
-        norm = np.linalg.norm(self.ket)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"projector {self.label!r} is not normalized ({norm})")
-
-    def bloch(self) -> np.ndarray:
-        """Real Bloch vector <v|sigma|v>."""
-        return np.array(
-            [np.real(np.conj(self.ket) @ (s @ self.ket)) for s in _PAULI[1:]]
-        )
-
-
-def tomography_set() -> list[Projector]:
-    """The six local projectors, in canonical order.
-
-    Logical 0 and 1, then the equatorial states (|0> + e^(i*theta)|1>)/sqrt(2)
-    at theta = 0, 90, 180, 270 degrees. The six rank-one operators span
-    the full single-qubit operator space, so pairs of them determine a
-    two-qubit state completely.
-    """
-    inv = 1 / np.sqrt(2)
-    out = [
-        Projector("0", np.array([1.0, 0.0])),
-        Projector("1", np.array([0.0, 1.0])),
+# The six local projectors, in canonical order: logical 0 and 1, then the
+# equatorial states (|0> + e^(i*theta)|1>)/sqrt(2) at theta = 0, 90, 180,
+# 270 degrees, as logical-basis kets. Their rank-one operators span the
+# single-qubit operator space, so the 36 pairs determine a two-qubit state.
+_PROJECTOR_LABELS = ("0", "1", "s0", "s90", "s180", "s270")
+_PROJECTOR_KETS = np.array(
+    [[1.0, 0.0], [0.0, 1.0]]
+    + [
+        [1 / np.sqrt(2), 1 / np.sqrt(2) * np.exp(1j * np.deg2rad(deg))]
+        for deg in (0, 90, 180, 270)
     ]
-    for deg in (0, 90, 180, 270):
-        phase = np.exp(1j * np.deg2rad(deg))
-        out.append(Projector(f"s{deg}", np.array([inv, inv * phase])))
-    return out
-
-
-def projector_pairs() -> list[tuple[Projector, Projector]]:
-    """All 36 (A, B) projector pairs; A varies slowest."""
-    local = tomography_set()
-    return [(a, b) for a in local for b in local]
+)
+# (A label, B label) -> setting index; A varies slowest.
+_PAIR_INDEX = {
+    (a, b): 6 * i + j
+    for i, a in enumerate(_PROJECTOR_LABELS)
+    for j, b in enumerate(_PROJECTOR_LABELS)
+}
 
 
 @dataclass(frozen=True)
@@ -254,26 +229,37 @@ class TomographyRecord:
             raise ValueError(f"expected 36 entries, got {len(self.entries)}")
         if self.kind == "counts" and self.count_model is None:
             raise ValueError("counts records must carry their CountModel")
+        seen = set()
         for la, lb, v in self.entries:
+            key = (la, lb)
+            if key not in _PAIR_INDEX:
+                raise ValueError(f"unknown projector pair {key}")
+            if key in seen:
+                raise ValueError(f"duplicate projector pair {key}")
+            seen.add(key)
             if v < 0:
                 raise ValueError(f"negative entry for ({la}, {lb}): {v}")
 
     def values(self) -> np.ndarray:
         """Entry values in canonical projector-pair order."""
-        order = {
-            (a.label, b.label): i for i, (a, b) in enumerate(projector_pairs())
-        }
         out = np.empty(36)
-        seen = set()
         for la, lb, v in self.entries:
-            key = (la, lb)
-            if key not in order:
-                raise ValueError(f"unknown projector pair {key}")
-            if key in seen:
-                raise ValueError(f"duplicate projector pair {key}")
-            seen.add(key)
-            out[order[key]] = v
+            out[_PAIR_INDEX[la, lb]] = v
         return out
+
+
+def projective_probability(
+    state: BipartitePureState, channel: np.ndarray
+) -> np.ndarray:
+    """Coincidence probabilities of all 36 projector pairs, A varying slowest.
+
+    The state is Schmidt-diagonal in its logical basis and `channel`, the
+    2x2 matrix of `effective_channel`, acts on photon B only, so the
+    amplitude of pair (a, b) is sum_k c_k <a|k> <b|T|k>.
+    """
+    bras = np.conj(_PROJECTOR_KETS)
+    c = state.branch_amplitudes
+    return (np.abs(bras @ (c[:, None] * channel.T) @ bras.T) ** 2).ravel()
 
 
 def simulate_tomography(
@@ -292,29 +278,22 @@ def simulate_tomography(
     entries become Poisson coincidence counts including accidentals;
     otherwise they are exact probabilities.
     """
-    channel = effective_channel(state, screen, w0)
-    probs = np.array(
-        [
-            projective_probability(state, pa, pb, channel=channel)
-            for pa, pb in projector_pairs()
-        ]
-    )
+    probs = projective_probability(state, effective_channel(state, screen, w0))
     provenance = {
         "state_id": state_id,
         "omega": float(omega),
         "seed": int(screen.spec.seed if screen is not None else seed),
         "screen_hash": screen_digest(screen),
     }
-    labels = [(a.label, b.label) for a, b in projector_pairs()]
     if count_model is None:
-        entries = [(la, lb, float(p)) for (la, lb), p in zip(labels, probs)]
+        entries = [(la, lb, float(p)) for (la, lb), p in zip(_PAIR_INDEX, probs)]
         return TomographyRecord("probability", entries, provenance)
 
     rng = np.random.default_rng(seed)
     lam_acc = count_model.accidental_rate * count_model.integration
     expected = count_model.pair_budget * probs + lam_acc
     counts = rng.poisson(expected)
-    entries = [(la, lb, float(c)) for (la, lb), c in zip(labels, counts)]
+    entries = [(la, lb, float(c)) for (la, lb), c in zip(_PAIR_INDEX, counts)]
     provenance["counts_seed"] = int(seed)
     return TomographyRecord("counts", entries, provenance, count_model=count_model)
 
@@ -334,14 +313,13 @@ def _from_pauli_components(r: np.ndarray) -> np.ndarray:
     return np.einsum("mn,mnij->ij", r, _PAULI_PAIRS) / 4.0
 
 
-# Row k is pauli_components of projector pair k, outer((1, n_a), (1, n_b)),
-# without its [0, 0] entry, so 4 p_k - 1 = row k . r.ravel()[1:].
-_DESIGN = np.array(
-    [
-        np.outer([1, *a.bloch()], [1, *b.bloch()]).ravel()[1:]
-        for a, b in projector_pairs()
-    ]
-)
+# _BLOCH[k, mu] = <k|sigma_mu|k> = (1, n_k) for local projector k. Row k
+# of _DESIGN is pauli_components of projector pair k, outer((1, n_a),
+# (1, n_b)), without its [0, 0] entry, so 4 p_k - 1 = row k . r.ravel()[1:].
+_BLOCH = np.einsum(
+    "ki,mij,kj->km", _PROJECTOR_KETS.conj(), _PAULI, _PROJECTOR_KETS
+).real
+_DESIGN = np.einsum("am,bn->abmn", _BLOCH, _BLOCH).reshape(36, 16)[:, 1:]
 # The local Bloch vectors are +-x, +-y, +-z: they sum to zero and their
 # outer products to 2I, so the 15 columns are orthogonal. The pseudo-inverse,
 # which gives the unique least-squares fit, is then the transpose scaled by
@@ -365,8 +343,8 @@ def reconstruct_density(
 
     Returns the DensityMatrix4, or (DensityMatrix4, diagnostics dict)
     when return_diagnostics is set. The diagnostics hold the record
-    kind, the renormalization, the linear residual, the method (always
-    "linear") and whether the repair ran.
+    kind, the renormalization, the linear residual and whether the repair
+    ran.
     """
     raw = record.values()
     diagnostics: dict = {"kind": record.kind}
@@ -389,7 +367,6 @@ def reconstruct_density(
     target = 4.0 * probs - 1.0
     x = _DESIGN_PINV @ target
     diagnostics["linear_residual"] = float(np.sum((_DESIGN @ x - target) ** 2))
-    diagnostics["method"] = "linear"
 
     rho = _from_pauli_components(np.concatenate([[1.0], x]).reshape(4, 4))
     rho = (rho + rho.conj().T) / 2.0
@@ -397,9 +374,7 @@ def reconstruct_density(
     diagnostics["repaired"] = eigmin < -1e-10
     if diagnostics["repaired"]:
         rho = rho @ rho
-        rho = rho / np.trace(rho).real
-    else:
-        rho = rho / np.trace(rho).real
+    rho = rho / np.trace(rho).real
     result = DensityMatrix4(rho)
     if return_diagnostics:
         return result, diagnostics

@@ -10,10 +10,10 @@ from skysim.channel import (
     apply_screen,
     crosstalk_amplitude,
     effective_channel,
-    projective_probability,
     survival_probability_analytic,
 )
 from skysim.modes import LGMode, azimuthal_spectrum, lg_field, make_grid
+from skysim.states import projective_probability
 from skysim.turbulence import TurbulenceSpec, generate_screen, omega_to_fried
 
 W0 = 0.9375e-3
@@ -120,15 +120,12 @@ class TestEffectiveChannel:
         assert np.array_equal(t, np.eye(2))
 
     def test_projective_probabilities_ideal(self):
-        st = self.bell_like()
-        z0 = SimpleNamespace(ket=np.array([1.0, 0.0]))
-        z1 = SimpleNamespace(ket=np.array([0.0, 1.0]))
-        plus = SimpleNamespace(ket=np.array([1.0, 1.0]) / np.sqrt(2))
-        minus = SimpleNamespace(ket=np.array([1.0, -1.0]) / np.sqrt(2))
-        assert projective_probability(st, z0, z0) == pytest.approx(0.5)
-        assert projective_probability(st, z0, z1) == pytest.approx(0.0, abs=1e-15)
-        assert projective_probability(st, plus, plus) == pytest.approx(0.5)
-        assert projective_probability(st, plus, minus) == pytest.approx(0.0, abs=1e-15)
+        # rows and columns: projectors 0, 1, s0 (plus), s90, s180 (minus), s270
+        p = projective_probability(self.bell_like(), np.eye(2)).reshape(6, 6)
+        assert p[0, 0] == pytest.approx(0.5)
+        assert p[0, 1] == pytest.approx(0.0, abs=1e-15)
+        assert p[2, 2] == pytest.approx(0.5)
+        assert p[2, 4] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestSurvival:

@@ -78,6 +78,22 @@ class TestExitCodes:
         assert "--window" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--window", "30"), ("--grid-n", "16")])
+    def test_unresolvable_calibration_fails_before_any_screen(
+        self, flag, value, monkeypatch, tmp_path, capsys
+    ):
+        import skysim.experiments
+
+        drawn = []
+        monkeypatch.setattr(skysim.experiments, "generate_screen", drawn.append)
+        argv = ["calibrate", "--omegas", "0.5", "--n-screens", "1", "--grid-n",
+                "128", flag, value, "--out", str(tmp_path / "out")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "SamplingError" in err
+        assert drawn == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("window", 10), ("use_tomography", True)])
     def test_config_with_removed_key_is_runtime_error(
         self, key, value, tmp_path, capsys

@@ -20,13 +20,13 @@ from skysim.states import (
     ensemble_average,
     make_state,
     partial_trace,
-    projector_pairs,
+    projective_probability,
     reconstruct_density,
     record_from_json,
     record_to_json,
     simulate_tomography,
-    tomography_set,
 )
+from skysim.states import _PAIR_INDEX, _PROJECTOR_KETS, _PROJECTOR_LABELS
 from skysim.turbulence import TurbulenceSpec, generate_screen, omega_to_fried
 
 W0 = 0.9375e-3
@@ -38,12 +38,31 @@ def screen_for(omega, seed, n=128, ell=0):
     return generate_screen(TurbulenceSpec(r0=r0, grid=grid, seed=seed))
 
 
+# The six local projector kets, spelled out independently of skysim.states.
+KETS = {
+    "0": np.array([1, 0]),
+    "1": np.array([0, 1]),
+    "s0": np.array([1, 1]) / np.sqrt(2),
+    "s90": np.array([1, 1j]) / np.sqrt(2),
+    "s180": np.array([1, -1]) / np.sqrt(2),
+    "s270": np.array([1, -1j]) / np.sqrt(2),
+}
+
+
+def pair_probability(state, ket_a, ket_b, channel):
+    """Per-pair forward model: |sum_k c_k <a|k> <b|T|k>|^2, T on photon B."""
+    c = state.branch_amplitudes
+    amp = np.sum(c * np.conj(ket_a) * (np.conj(ket_b) @ channel))
+    return float(np.abs(amp) ** 2)
+
+
 def lstsq_reference(record):
     """np.linalg.lstsq inversion of a counts record, then the squaring repair.
 
     The model is p_k = tr rho P_k with rho = sum r_mn sigma_m x sigma_n / 4
-    and r_00 = 1, fitted over the 15 other components. Returns the
-    density matrix and whether it was repaired.
+    and r_00 = 1, fitted over the 15 other components, with each row built
+    from the entry's own labels. Returns the density matrix and whether it
+    was repaired.
     """
     paulis = [
         np.eye(2),
@@ -52,15 +71,14 @@ def lstsq_reference(record):
         np.array([[1, 0], [0, -1]]),
     ]
     basis = [np.kron(sm, sn) for sm in paulis for sn in paulis]
-    projectors = [
-        np.kron(np.outer(a.ket, a.ket.conj()), np.outer(b.ket, b.ket.conj()))
-        for a, b in projector_pairs()
-    ]
+    local = {label: np.outer(ket, ket.conj()) for label, ket in KETS.items()}
+    projectors = [np.kron(local[la], local[lb]) for la, lb, _ in record.entries]
     design = np.array(
         [[np.trace(op @ proj).real / 4 for op in basis[1:]] for proj in projectors]
     )
     cm = record.count_model
-    probs = np.clip(record.values() - cm.accidental_rate * cm.integration, 0, None)
+    raw = np.array([v for _, _, v in record.entries])
+    probs = np.clip(raw - cm.accidental_rate * cm.integration, 0, None)
     probs = 9 * probs / probs.sum()
     r, *_ = np.linalg.lstsq(design, probs - 0.25, rcond=None)
     rho = (basis[0] + sum(c * op for c, op in zip(r, basis[1:]))) / 4
@@ -78,42 +96,49 @@ def fidelity_to_pure(state, rho):
 
 class TestProjectors:
     def test_six_projectors_canonical_order(self):
-        labels = [p.label for p in tomography_set()]
-        assert labels == ["0", "1", "s0", "s90", "s180", "s270"]
+        assert _PROJECTOR_LABELS == ("0", "1", "s0", "s90", "s180", "s270")
+        expected = np.array([KETS[label] for label in _PROJECTOR_LABELS])
+        assert np.abs(_PROJECTOR_KETS - expected).max() <= 1e-15
 
     def test_projectors_normalized(self):
-        for p in tomography_set():
-            assert np.linalg.norm(p.ket) == pytest.approx(1.0, abs=1e-12)
+        norms = np.linalg.norm(_PROJECTOR_KETS, axis=1)
+        assert np.abs(norms - 1.0).max() <= 1e-12
 
     def test_pairs_a_major(self):
-        pairs = projector_pairs()
-        assert len(pairs) == 36
-        assert [p[0].label for p in pairs[:6]] == ["0"] * 6
-        assert [p[1].label for p in pairs[:6]] == [
-            "0",
-            "1",
-            "s0",
-            "s90",
-            "s180",
-            "s270",
-        ]
+        pairs = [(a, b) for a in KETS for b in KETS]
+        assert list(_PAIR_INDEX) == pairs
+        assert list(_PAIR_INDEX.values()) == list(range(36))
+        rec = simulate_tomography(make_state(0, 1))
+        assert [(la, lb) for la, lb, _ in rec.entries] == pairs
 
     def test_local_set_spans_operator_space(self):
-        vecs = [np.outer(p.ket, p.ket.conj()).ravel() for p in tomography_set()]
+        vecs = [np.outer(k, k.conj()).ravel() for k in _PROJECTOR_KETS]
         assert np.linalg.matrix_rank(np.array(vecs), tol=1e-10) == 4
 
     def test_pair_set_spans_two_qubit_operators(self):
         vecs = [
-            np.kron(np.outer(a.ket, a.ket.conj()), np.outer(b.ket, b.ket.conj())).ravel()
-            for a, b in projector_pairs()
+            np.kron(np.outer(a, a.conj()), np.outer(b, b.conj())).ravel()
+            for a in _PROJECTOR_KETS
+            for b in _PROJECTOR_KETS
         ]
         assert np.linalg.matrix_rank(np.array(vecs), tol=1e-10) == 16
 
-    def test_unnormalized_ket_rejected(self):
-        from skysim.states import Projector
-
-        with pytest.raises(ValueError, match="normalized"):
-            Projector("bad", np.array([1.0, 1.0]))
+    def test_forward_model_matches_per_pair_reference(self):
+        rng = np.random.default_rng(1301)
+        channels = [np.eye(2)] + [
+            (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / 2
+            for _ in range(60)
+        ]
+        for name, state in catalog().items():
+            for t in channels:
+                expected = [
+                    pair_probability(state, KETS[a], KETS[b], t)
+                    for a in KETS
+                    for b in KETS
+                ]
+                got = projective_probability(state, t)
+                assert got.shape == (36,)
+                assert np.abs(got - expected).max() <= 1e-13, name
 
 
 class TestStates:
@@ -302,7 +327,6 @@ class TestReconstruction:
         assert diag["renormalization"] == pytest.approx(
             9.0 / rec.values().sum(), rel=1e-12
         )
-        assert diag["method"] == "linear"
 
     def test_poisson_counts_reconstruction(self):
         state = make_state(0, 1, -np.pi / 2)
@@ -393,6 +417,18 @@ class TestSerialization:
         doc = record_to_json(rec)
         del doc["provenance"]["seed"]
         with pytest.raises(ValueError, match="seed"):
+            record_from_json(doc)
+
+    def test_stored_record_with_unknown_pair_refused(self):
+        doc = record_to_json(simulate_tomography(make_state(0, 1), state_id="0_1"))
+        doc["entries"][5][1] = "s45"
+        with pytest.raises(ValueError, match="unknown projector pair"):
+            record_from_json(doc)
+
+    def test_stored_record_with_duplicate_pair_refused(self):
+        doc = record_to_json(simulate_tomography(make_state(0, 1), state_id="0_1"))
+        doc["entries"][5][:2] = doc["entries"][4][:2]
+        with pytest.raises(ValueError, match="duplicate projector pair"):
             record_from_json(doc)
 
     def test_json_serializable(self):
