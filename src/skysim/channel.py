@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import iv
 
 from skysim.modes import ComplexField, LGMode, lg_field
 from skysim.turbulence import PhaseScreen
@@ -84,6 +83,8 @@ def survival_probability_analytic(omega: float) -> float:
     """Closed-form fundamental-mode survival against strength omega."""
     if omega < 0:
         raise ValueError(f"turbulence strength must be >= 0, got {omega}")
+    from scipy.special import iv
+
     beta = _SURVIVAL_BETA_COEFF * omega ** (5.0 / 3.0)
     return float((iv(0, beta) + iv(1, beta)) * np.exp(-beta))
 

@@ -373,23 +373,20 @@ def _contrast_table(run_dir: Path) -> str | None:
     """Quantum contrast per strength, from stored counts records."""
     import numpy as np
 
+    from skysim.states import record_from_json
+
     groups: dict[tuple[str, str], list[float]] = {}
     for path in sorted(run_dir.glob("*/omega-*/realisation-*.json")):
         doc = json.loads(path.read_text())
-        record = doc.get("record")
-        if not record or record.get("kind") != "counts":
+        if doc.get("record", {}).get("kind") != "counts":
             continue
-        cm = record.get("count_model")
-        if not cm:
+        record = record_from_json(doc["record"])
+        cm = record.count_model
+        if cm.accidental_rate <= 0:
             continue
-        accidental = (
-            cm["gate"] * cm["singles_rate_a"] * cm["singles_rate_b"]
-        )
-        if accidental <= 0:
-            continue
-        peak_rate = max(v for _, _, v in record["entries"]) / cm["integration"]
+        peak_rate = record.values().max() / cm.integration
         key = (doc["state"], f"{doc['omega']:.2f}")
-        groups.setdefault(key, []).append(peak_rate / accidental)
+        groups.setdefault(key, []).append(peak_rate / cm.accidental_rate)
     if not groups:
         return None
     body = []

@@ -177,10 +177,6 @@ class DensityMatrix4:
         psi = state.ket4()
         return cls(np.outer(psi, psi.conj()))
 
-    @property
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
 
 def partial_trace(rho: DensityMatrix4, keep: str) -> np.ndarray:
     """Reduced 2x2 state of arm "A" or "B"."""

@@ -177,21 +177,19 @@ def classical_correlation(rho, return_diagnostics: bool = False):
     return best_val
 
 
-def discord(rho, return_diagnostics: bool = False):
-    """Quantum discord I - J with B-side measurements, clamped at zero."""
-    info = mutual_information(rho)
-    j, diag = classical_correlation(rho, return_diagnostics=True)
+def _discord_from(info: float, j: float) -> float:
     d = info - j
     if d < -1e-8:
         raise RuntimeError(
             f"classical correlation exceeded mutual information by {-d:.3e}; "
             "the measurement search found an inconsistent maximum"
         )
-    d = max(0.0, d)
-    diag.update({"mutual_information": info, "classical_correlation": j})
-    if return_diagnostics:
-        return d, diag
-    return d
+    return max(0.0, d)
+
+
+def discord(rho) -> float:
+    """Quantum discord I - J with B-side measurements, clamped at zero."""
+    return _discord_from(mutual_information(rho), classical_correlation(rho))
 
 
 @dataclass
@@ -220,9 +218,9 @@ def evaluate_witnesses(
     c = concurrence(rho)
     f = fidelity(rho, target)
     g = purity(rho)
-    d, diag = discord(rho, return_diagnostics=True)
-    info = diag.pop("mutual_information")
-    j = diag.pop("classical_correlation")
+    info = mutual_information(rho)
+    j, diag = classical_correlation(rho, return_diagnostics=True)
+    d = _discord_from(info, j)
     if discord_reference is not None and discord_reference >= 1e-6:
         d_norm = d / discord_reference
     else:

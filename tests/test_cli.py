@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import skysim
+from skysim.channel import CountModel
 from skysim.cli import main, write_calibration_tables
+from skysim.experiments import RunConfig, run_ensemble
 
 W0 = 0.9375e-3
 
@@ -366,6 +368,37 @@ class TestReport:
             if line.startswith("0_1") and "0.5" in line
         )
         assert sky_line.rstrip().endswith("-")
+
+    def test_contrast_table_from_counts_records(self, tmp_path, capsys):
+        config = RunConfig(
+            states=("0_1",), omegas=(0.5,), realisations=2, grid_n=128,
+            mode="ensemble", count_model=CountModel(), master_seed=4,
+        )
+        run_dir = run_ensemble(config, tmp_path)
+        code, stdout, _ = run_cli(["report", "--results", str(run_dir)], capsys)
+        assert code == 0
+        contrasts = []
+        for path in sorted(run_dir.glob("0_1/omega-0.50/realisation-*.json")):
+            record = json.loads(path.read_text())["record"]
+            cm = record["count_model"]
+            peak = max(v for _, _, v in record["entries"]) / cm["integration"]
+            contrasts.append(
+                peak / (cm["gate"] * cm["singles_rate_a"] * cm["singles_rate_b"])
+            )
+        assert len(contrasts) == 2
+        # the contrast table is the last one a run tree's report prints
+        lines = stdout.splitlines()
+        rows = lines[lines.index("quantum contrast vs strength") + 2:]
+        assert len(rows) == 1
+        state, omega, n, mean, std = rows[0].split()
+        assert (state, omega, n) == ("0_1", "0.50", "2")
+        assert float(mean) == pytest.approx(np.mean(contrasts), rel=1e-5)
+        assert float(std) == pytest.approx(np.std(contrasts, ddof=1), rel=1e-5)
+
+    def test_probability_tree_has_no_contrast_table(self, small_run, capsys):
+        code, stdout, _ = run_cli(["report", "--results", str(small_run)], capsys)
+        assert code == 0
+        assert "quantum contrast" not in stdout
 
     def test_calibration_report(self, tmp_path, capsys):
         run_cli(
