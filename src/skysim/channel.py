@@ -61,22 +61,62 @@ def crosstalk_amplitude(
     return complex(np.sum(np.conj(fout.amplitude) * screened) * grid.dx**2)
 
 
+# The arm-B mode weights of the last (ells_b, w0, grid) asked for. A sweep
+# runs every realisation of one state in a row, so one entry rebuilds the
+# weights once per state; at 512^2 they hold 8 MiB.
+_held_weights: dict = {}
+
+
+def _mode_weights(ells_b, w0: float, grid) -> np.ndarray:
+    """Read-only real 4 x n^2 array [|u0|^2, |u1|^2, Re(u0* u1), Im(u0* u1)]
+    of the two arm-B modes, held until a different key is asked for."""
+    key = (tuple(ells_b), w0, grid)
+    weights = _held_weights.get(key)
+    if weights is None:
+        _held_weights.clear()
+        u0, u1 = (
+            lg_field(LGMode(ell=ell, w0=w0), grid).amplitude.ravel() for ell in ells_b
+        )
+        weights = np.empty((4, u0.size))
+        weights[0] = u0.real**2 + u0.imag**2
+        weights[1] = u1.real**2 + u1.imag**2
+        cross = np.conj(u0) * u1
+        weights[2] = cross.real
+        weights[3] = cross.imag
+        weights.flags.writeable = False
+        _held_weights[key] = weights
+    return weights
+
+
 def effective_channel(state, screen: PhaseScreen | None, w0: float) -> np.ndarray:
     """2x2 channel matrix on the logical basis of the unscreened photon's
     partner. Entry [j, k] couples logical k to logical j through the
     screen; with no screen it is the identity.
 
     `state` provides ells_b, the two mode indices encoding logical 0 and 1
-    on the screened arm.
+    on the screened arm. The entries sum conj(u_j) u_k exp(i phi) dx^2
+    over the pixels, read off the held mode weights as one real product
+    with cos(phi) and sin(phi).
     """
     if screen is None:
         return np.eye(2, dtype=complex)
+    if w0 is None:
+        raise ValueError("w0 is required to form the channel of a screen")
     grid = screen.grid
-    modes = np.stack(
-        [lg_field(LGMode(ell=ell, w0=w0), grid).amplitude for ell in state.ells_b]
+    weights = _mode_weights(state.ells_b, w0, grid)
+    phase = screen.phase.ravel()
+    trig = np.empty((2, phase.size))
+    np.cos(phase, out=trig[0])
+    np.sin(phase, out=trig[1])
+    # rows of m: |u0|^2, |u1|^2, Re and Im of u0* u1; columns: cos, sin
+    m = (weights @ trig.T) * grid.dx**2
+    (c00, s00), (c11, s11), (cre, sre), (cim, sim) = m
+    return np.array(
+        [
+            [complex(c00, s00), complex(cre - sim, sre + cim)],
+            [complex(cre + sim, sre - cim), complex(c11, s11)],
+        ]
     )
-    screened = modes * np.exp(1j * screen.phase)
-    return np.einsum("jxy,kxy->jk", np.conj(modes), screened) * grid.dx**2
 
 
 def survival_probability_analytic(omega: float) -> float:

@@ -185,8 +185,12 @@ def generate_screen(spec: TurbulenceSpec) -> PhaseScreen:
             if (a, b) != (0, 0):
                 amp[b % n, a % n] *= np.sqrt(_base_weight(a, b))
 
-    gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    screen = np.real(np.fft.ifft2(gauss * amp)) * n * n
+    # filled in place, so the draw holds one complex n x n array, not three
+    gauss = np.empty((n, n), dtype=complex)
+    gauss.real = rng.standard_normal((n, n))
+    gauss.imag = rng.standard_normal((n, n))
+    gauss *= amp
+    screen = np.fft.ifft2(gauss).real * n * n
 
     levels = spec.n_subharmonics
     coeff = np.zeros((3 * levels, 3 * levels), dtype=complex)

@@ -8,6 +8,17 @@ Adesso, PRA 83, 052108 (2011)); that is done with a fixed grid and
 zoom search in numpy. The dense-grid and multi-start SLSQP
 cross-checks live in the test suite.
 
+The objective is real 3-vector arithmetic on the Pauli components of
+rho (`states.pauli_components`): the Bloch vectors a and b of arms A and
+B and the correlation matrix T. Measuring B along +n or -n happens with
+probability p(+-) = (1 +- b.n)/2 (the 1 is read as tr rho) and leaves A
+with Bloch vector (a +- T n)/(2 p(+-)), so
+
+    J(n) = S(A) - sum_(+-) p(+-) h(|a +- T n| / (2 p(+-))),
+
+where h(x) is the entropy of a qubit whose Bloch vector has length x.
+An outcome of zero probability adds nothing.
+
 All entropies are in bits.
 """
 
@@ -17,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from skysim.states import DensityMatrix4, partial_trace
+from skysim.states import DensityMatrix4, partial_trace, pauli_components
 
 __all__ = [
     "WitnessReport",
@@ -102,36 +113,35 @@ def mutual_information(rho) -> float:
     return sa + sb - von_neumann_entropy(dm.matrix)
 
 
-def _measurement_kets(theta, phi):
-    """Orthonormal measurement pair on the Bloch sphere, vectorized."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    ct, st = np.cos(theta / 2), np.sin(theta / 2)
-    e = np.exp(1j * phi)
-    m0 = np.stack([ct * np.ones_like(e), e * st], axis=-1)
-    m1 = np.stack([st * np.ones_like(e), -e * ct], axis=-1)
-    return m0, m1
-
-
-def _branch_entropy(reshaped, kets):
-    """p_k * S(rho_A|k) for a batch of measurement kets, shape (G, 2)."""
-    sub = np.einsum("gb,abcd,gd->gac", kets.conj(), reshaped, kets)
-    p = np.real(sub[:, 0, 0] + sub[:, 1, 1])
-    half = 0.5 * np.real(sub[:, 0, 0] - sub[:, 1, 1])
-    gap = np.sqrt(half**2 + np.abs(sub[:, 0, 1]) ** 2)
-    lam = np.stack([p / 2 + gap, p / 2 - gap], axis=-1)
-    lam = np.clip(lam, 0.0, None)
+def _qubit_entropy(x):
+    """Entropy in bits of a qubit whose Bloch vector has length x."""
+    x = np.clip(x, 0.0, 1.0)
+    lam = np.stack([(1 + x) / 2, (1 - x) / 2])
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(p[:, None] > 1e-15, lam / p[:, None], 0.0)
-        terms = np.where(scaled > 1e-15, scaled * np.log2(scaled), 0.0)
-    return -np.where(p > 1e-15, p, 0.0) * terms.sum(axis=-1)
+        terms = np.where(lam > 1e-15, lam * np.log2(lam), 0.0)
+    return -terms.sum(axis=0)
 
 
 def _objective_batch(rho4, theta, phi, entropy_a):
-    """Classical correlation J(theta, phi) over flat angle arrays."""
-    reshaped = rho4.reshape(2, 2, 2, 2)
-    m0, m1 = _measurement_kets(theta, phi)
-    cond = _branch_entropy(reshaped, m0) + _branch_entropy(reshaped, m1)
+    """Classical correlation J(theta, phi) over flat angle arrays.
+
+    n = (sin theta cos phi, sin theta sin phi, cos theta) is the axis of
+    the measurement on B; see the module docstring for the formula.
+    """
+    r = pauli_components(rho4)
+    a, b, corr = r[1:, 0], r[0, 1:], r[1:, 1:]
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    st = np.sin(theta)
+    n = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    bn, tn = n @ b, n @ corr.T
+    cond = 0.0
+    for sign in (1.0, -1.0):
+        p = (r[0, 0] + sign * bn) / 2
+        length = np.linalg.norm(a + sign * tn, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(p > 1e-15, length / (2 * p), 0.0)
+        cond = cond + p * _qubit_entropy(x)
     return entropy_a - cond
 
 

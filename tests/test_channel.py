@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import skysim.channel
 from skysim.channel import (
     CountModel,
     apply_screen,
@@ -13,7 +14,8 @@ from skysim.channel import (
     survival_probability_analytic,
 )
 from skysim.modes import LGMode, azimuthal_spectrum, lg_field, make_grid
-from skysim.states import projective_probability
+from skysim.experiments import RunConfig, run_static
+from skysim.states import catalog, projective_probability, simulate_tomography
 from skysim.turbulence import TurbulenceSpec, generate_screen, omega_to_fried
 
 W0 = 0.9375e-3
@@ -27,6 +29,17 @@ def screen_for(omega, seed, n=128, ell=0):
 
 def flat_screen(n=128):
     return screen_for(0.0, 0, n=n)
+
+
+def einsum_channel(state, screen, w0):
+    """Reference: the pixel sums conj(u_j) u_k exp(i phi) dx^2 on freshly
+    built complex modes."""
+    grid = screen.grid
+    modes = np.stack(
+        [lg_field(LGMode(ell=ell, w0=w0), grid).amplitude for ell in state.ells_b]
+    )
+    screened = modes * np.exp(1j * screen.phase)
+    return np.einsum("jxy,kxy->jk", np.conj(modes), screened) * grid.dx**2
 
 
 class TestApplyScreen:
@@ -118,6 +131,51 @@ class TestEffectiveChannel:
     def test_no_screen_is_identity(self):
         t = effective_channel(self.bell_like(), None, W0)
         assert np.array_equal(t, np.eye(2))
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_held_weights_match_einsum(self, n):
+        # state A, then B, then A again: each key change rebuilds the weights
+        a, b = SimpleNamespace(ells_b=(0, -1)), SimpleNamespace(ells_b=(2, 3))
+        for i, state in enumerate((a, b, a)):
+            s = screen_for(1.0, 60 + i, n=n)
+            got = effective_channel(state, s, W0)
+            np.testing.assert_allclose(
+                got, einsum_channel(state, s, W0), rtol=0, atol=1e-13
+            )
+
+    def test_held_weights_read_only(self):
+        s = screen_for(0.5, 3)
+        effective_channel(self.bell_like(), s, W0)
+        (weights,) = skysim.channel._held_weights.values()
+        assert weights.shape == (4, 128 * 128)
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0, 0] = 0.0
+
+    def test_screen_without_waist_names_w0(self):
+        s = screen_for(0.5, 3)
+        with pytest.raises(ValueError, match="w0"):
+            effective_channel(self.bell_like(), s, None)
+        with pytest.raises(ValueError, match="w0"):
+            simulate_tomography(catalog()["0_1"], screen=s)
+
+    def test_sweep_builds_modes_once_per_state(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counting_lg_field(mode, grid):
+            calls.append(mode.ell)
+            return lg_field(mode, grid)
+
+        monkeypatch.setattr(skysim.channel, "_held_weights", {})
+        monkeypatch.setattr(skysim.channel, "lg_field", counting_lg_field)
+        config = RunConfig(
+            states=("0_1", "0_m1_phase"),
+            omegas=(0.25, 0.5, 0.75),
+            realisations=2,
+            grid_n=128,
+        )
+        run_static(config, tmp_path)
+        assert calls == [0, -1, 0, 1]
 
     def test_projective_probabilities_ideal(self):
         # rows and columns: projectors 0, 1, s0 (plus), s90, s180 (minus), s270

@@ -58,6 +58,30 @@ def random_local_unitary(rng):
     return np.kron(haar2(), haar2())
 
 
+def ket_objective(rho4, theta, phi, entropy_a):
+    """Reference objective: the conditional states of A as complex 2x2
+    matrices, one einsum per outcome, and their eigenvalues."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    ct, st = np.cos(theta / 2), np.sin(theta / 2)
+    e = np.exp(1j * phi)
+    m0 = np.stack([ct * np.ones_like(e), e * st], axis=-1)
+    m1 = np.stack([st * np.ones_like(e), -e * ct], axis=-1)
+    reshaped = rho4.reshape(2, 2, 2, 2)
+    cond = 0.0
+    for kets in (m0, m1):
+        sub = np.einsum("gb,abcd,gd->gac", kets.conj(), reshaped, kets)
+        p = np.real(sub[:, 0, 0] + sub[:, 1, 1])
+        half = 0.5 * np.real(sub[:, 0, 0] - sub[:, 1, 1])
+        gap = np.sqrt(half**2 + np.abs(sub[:, 0, 1]) ** 2)
+        lam = np.clip(np.stack([p / 2 + gap, p / 2 - gap], axis=-1), 0.0, None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = np.where(p[:, None] > 1e-15, lam / p[:, None], 0.0)
+            terms = np.where(scaled > 1e-15, scaled * np.log2(scaled), 0.0)
+        cond = cond - np.where(p > 1e-15, p, 0.0) * terms.sum(axis=-1)
+    return entropy_a - cond
+
+
 def dense_grid_correlation(rho, n_theta, n_phi):
     """Independent brute-force floor for the classical correlation."""
     entropy_a = von_neumann_entropy(partial_trace(rho, "A"))
@@ -231,6 +255,33 @@ class TestClassicalCorrelationAndDiscord:
         _, d1 = classical_correlation(rho, return_diagnostics=True)
         _, d2 = classical_correlation(rho, return_diagnostics=True)
         assert d1 == d2
+
+
+class TestObjectiveAgainstKets:
+    def check(self, rho, theta, phi):
+        entropy_a = von_neumann_entropy(partial_trace(rho, "A"))
+        got = _objective_batch(rho.matrix, theta, phi, entropy_a)
+        want = ket_objective(rho.matrix, theta, phi, entropy_a)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def angles(self, seed, size=4096):
+        rng = np.random.default_rng(seed)
+        theta = np.concatenate([[0.0, np.pi, np.pi / 2], rng.uniform(0, np.pi, size)])
+        phi = np.concatenate([[0.0, 0.0, 0.0], rng.uniform(0, 2 * np.pi, size)])
+        return theta, phi
+
+    def test_random_states(self):
+        for seed in range(30):
+            rho = random_density(seed, rank=(1, 2, 4)[seed % 3])
+            self.check(rho, *self.angles(seed))
+
+    def test_edge_states(self):
+        zero_zero = np.zeros((4, 4), dtype=complex)
+        zero_zero[0, 0] = 1.0
+        # |00> measured along +z and -z: one outcome has probability zero
+        self.check(DensityMatrix4(zero_zero), np.array([0.0, np.pi]), np.zeros(2))
+        for rho in (DensityMatrix4(zero_zero), MIXED, werner(0.6)):
+            self.check(rho, *self.angles(7))
 
 
 class TestSearchAgainstSlsqp:
