@@ -61,31 +61,38 @@ def crosstalk_amplitude(
     return complex(np.sum(np.conj(fout.amplitude) * screened) * grid.dx**2)
 
 
-# The arm-B mode weights of the last (ells_b, w0, grid) asked for. A sweep
-# runs every realisation of one state in a row, so one entry rebuilds the
-# weights once per state; at 512^2 they hold 8 MiB.
+# Arm-B mode weights held per mirror pair of the current (w0, grid). For
+# p = 0, LG_-ell = conj(LG_ell), so the pair (-l0, -l1) is served by the
+# weights of (l0, l1) with Im(u0* u1) negated. The catalog has 4 mirror
+# pairs, which bounds the holder; at 512^2 each holds 8 MiB.
+_MAX_HELD = 4
 _held_weights: dict = {}
 
 
-def _mode_weights(ells_b, w0: float, grid) -> np.ndarray:
+def _mode_weights(ells_b, w0: float, grid) -> tuple[np.ndarray, bool]:
     """Read-only real 4 x n^2 array [|u0|^2, |u1|^2, Re(u0* u1), Im(u0* u1)]
-    of the two arm-B modes, held until a different key is asked for."""
-    key = (tuple(ells_b), w0, grid)
-    weights = _held_weights.get(key)
-    if weights is None:
+    of a pair of arm-B modes, and whether it is of the mirror pair, whose
+    last row has the opposite sign. A new (w0, grid) drops every held
+    array; past _MAX_HELD pairs the oldest is dropped."""
+    ells = tuple(ells_b)
+    mirror = tuple(-ell for ell in ells)
+    if any(key[1:] != (w0, grid) for key in _held_weights):
         _held_weights.clear()
-        u0, u1 = (
-            lg_field(LGMode(ell=ell, w0=w0), grid).amplitude.ravel() for ell in ells_b
-        )
-        weights = np.empty((4, u0.size))
-        weights[0] = u0.real**2 + u0.imag**2
-        weights[1] = u1.real**2 + u1.imag**2
-        cross = np.conj(u0) * u1
-        weights[2] = cross.real
-        weights[3] = cross.imag
-        weights.flags.writeable = False
-        _held_weights[key] = weights
-    return weights
+    for key, mirrored in (((ells, w0, grid), False), ((mirror, w0, grid), True)):
+        if key in _held_weights:
+            return _held_weights[key], mirrored
+    if len(_held_weights) >= _MAX_HELD:
+        del _held_weights[next(iter(_held_weights))]
+    u0, u1 = (lg_field(LGMode(ell=ell, w0=w0), grid).amplitude.ravel() for ell in ells)
+    weights = np.empty((4, u0.size))
+    weights[0] = u0.real**2 + u0.imag**2
+    weights[1] = u1.real**2 + u1.imag**2
+    cross = np.conj(u0) * u1
+    weights[2] = cross.real
+    weights[3] = cross.imag
+    weights.flags.writeable = False
+    _held_weights[(ells, w0, grid)] = weights
+    return weights, False
 
 
 def effective_channel(state, screen: PhaseScreen | None, w0: float) -> np.ndarray:
@@ -96,20 +103,23 @@ def effective_channel(state, screen: PhaseScreen | None, w0: float) -> np.ndarra
     `state` provides ells_b, the two mode indices encoding logical 0 and 1
     on the screened arm. The entries sum conj(u_j) u_k exp(i phi) dx^2
     over the pixels, read off the held mode weights as one real product
-    with cos(phi) and sin(phi).
+    with cos(phi) and sin(phi); a state whose pair mirrors a held one
+    shares its weights.
     """
     if screen is None:
         return np.eye(2, dtype=complex)
     if w0 is None:
         raise ValueError("w0 is required to form the channel of a screen")
     grid = screen.grid
-    weights = _mode_weights(state.ells_b, w0, grid)
+    weights, mirrored = _mode_weights(state.ells_b, w0, grid)
     phase = screen.phase.ravel()
     trig = np.empty((2, phase.size))
     np.cos(phase, out=trig[0])
     np.sin(phase, out=trig[1])
     # rows of m: |u0|^2, |u1|^2, Re and Im of u0* u1; columns: cos, sin
     m = (weights @ trig.T) * grid.dx**2
+    if mirrored:
+        m[3] = -m[3]
     (c00, s00), (c11, s11), (cre, sre), (cim, sim) = m
     return np.array(
         [

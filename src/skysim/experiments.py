@@ -3,11 +3,16 @@
 A run is fully described by a RunConfig; the same config always
 produces a bit-identical result tree, which is enforced by hashing the
 canonical config JSON into the output directory name, deriving every
-random seed from the (master seed, state, strength, realisation)
-coordinates, and writing a manifest of artifact content hashes last.
+random seed from list positions in the config, and writing a manifest
+of artifact content hashes last. The screen of realisation k at the
+strength of index i is seeded derive_seed(master, 0, i, k) and shared
+by every state, so the states are compared through the same turbulence;
+the counts of the state of index j are seeded derive_seed(master, j, i,
+k, stream=1).
 
-Static and ensemble runs share one sweep loop. Every realisation is
-realised (screen, tomography, reconstruction) and written; a static run
+Static and ensemble runs share one sweep loop over strength, then
+realisation, then state. Every realisation is realised (tomography
+through the shared screen, reconstruction) and written; a static run
 then evaluates each one (witnesses, wrapping number), while an ensemble
 run evaluates only the average of each strength's realisations.
 
@@ -39,7 +44,12 @@ from skysim.states import (
     record_to_json,
     simulate_tomography,
 )
-from skysim.turbulence import TurbulenceSpec, generate_screen, omega_to_fried
+from skysim.turbulence import (
+    PhaseScreen,
+    TurbulenceSpec,
+    generate_screen,
+    omega_to_fried,
+)
 from skysim.witnesses import WitnessReport, discord, evaluate_witnesses
 from skysim.topology import DegenerateFieldError, skyrmion_number
 
@@ -138,7 +148,12 @@ def config_hash(config: RunConfig) -> str:
 def derive_seed(
     master_seed: int, state_idx: int, omega_idx: int, realisation: int, stream: int = 0
 ) -> int:
-    """Collision-free seed for one task, stable across runs and platforms."""
+    """Collision-free seed for one task, stable across runs and platforms.
+
+    Sweeps seed the screen of (strength omega_idx, realisation) with
+    state_idx 0 for every state, which then share it, and a state's
+    counts with its own state_idx and stream 1.
+    """
     seq = np.random.SeedSequence(
         (master_seed, state_idx, omega_idx, realisation, stream)
     )
@@ -213,21 +228,13 @@ def _realise(
     state: BipartitePureState,
     state_idx: int,
     omega_idx: int,
-    grid: Grid2D,
+    screen: PhaseScreen,
 ) -> None:
-    """Screen, tomography and reconstruction: fill in res.rho and its record."""
-    k = res.realisation
-    screen_seed = derive_seed(config.master_seed, state_idx, omega_idx, k)
-    r0 = omega_to_fried(res.omega, 0, config.w0)
-    screen = generate_screen(
-        TurbulenceSpec(
-            r0=r0,
-            grid=grid,
-            seed=screen_seed,
-            n_subharmonics=config.n_subharmonics,
-        )
+    """Tomography through the screen and reconstruction: fill in res.rho
+    and its record."""
+    counts_seed = derive_seed(
+        config.master_seed, state_idx, omega_idx, res.realisation, stream=1
     )
-    counts_seed = derive_seed(config.master_seed, state_idx, omega_idx, k, stream=1)
     record = simulate_tomography(
         state,
         screen=screen,
@@ -344,58 +351,108 @@ def run_ensemble(config: RunConfig, results_root) -> Path:
 
 
 def _sweep(config: RunConfig, results_root, ensemble: bool) -> Path:
-    """The loop over (state, strength, realisation) behind both modes.
+    """The loop over (strength, realisation, state) behind both modes.
 
     Each realisation is realised and written. The modes differ only in
     what they evaluate: a static sweep every realisation, an ensemble
-    sweep only the average of the realisations of each strength.
+    sweep only the average of the realisations of each strength. The
+    tables list their rows by state, then strength, then realisation.
     """
     run_dir, cfg_hash = _prepare_run_dir(config, results_root)
     grid = config.grid()
     cat = catalog()
+    states = [cat[state_id] for state_id in config.states]
+    evaluators = []
+    for state in states:
+        target = DensityMatrix4.from_pure(state)
+        evaluators.append(
+            partial(_evaluate, state=state, target=target, discord_ref=discord(target))
+        )
     incomplete: list[str] = []
+    # (state_idx, omega_idx) -> the evaluated states of its table rows
+    evaluated: dict[tuple[int, int], list[_TaskResult]] = {}
+
+    for omega_idx, omega in enumerate(config.omegas):
+        omega_dirs = [run_dir / s / _omega_dirname(omega) for s in config.states]
+        for omega_dir in omega_dirs:
+            omega_dir.mkdir(parents=True, exist_ok=True)
+        members: list[list[_TaskResult]] = [[] for _ in states]
+        for k in range(config.realisations):
+            results = _realise_screen(
+                config, states, omega_idx, k, grid, None if ensemble else evaluators
+            )
+            for state_idx, res in enumerate(results):
+                doc = _member_doc(res)
+                _write_json(omega_dirs[state_idx] / f"realisation-{k}.json", doc)
+                if res.error is not None:
+                    incomplete.append(f"{res.state_id}/{_omega_dirname(omega)}/{k}")
+                    continue
+                members[state_idx].append(res)
+        for state_idx, done in enumerate(members):
+            if ensemble and done:
+                mean = _evaluate_average(done, evaluators[state_idx])
+                doc = _ensemble_doc(mean, done)
+                _write_json(omega_dirs[state_idx] / "ensemble.json", doc)
+                done = [mean]
+            evaluated[state_idx, omega_idx] = done
+
     witness_rows: list[list] = []
     summary_rows: list[list] = []
-
     for state_idx, state_id in enumerate(config.states):
-        state = cat[state_id]
-        target = DensityMatrix4.from_pure(state)
-        evaluate = partial(
-            _evaluate, state=state, target=target, discord_ref=discord(target)
-        )
         for omega_idx, omega in enumerate(config.omegas):
-            omega_dir = run_dir / state_id / _omega_dirname(omega)
-            omega_dir.mkdir(parents=True, exist_ok=True)
-            members: list[_TaskResult] = []
-            for k in range(config.realisations):
-                res = _TaskResult(state_id=state_id, omega=omega, realisation=k)
-                try:
-                    _realise(res, config, state, state_idx, omega_idx, grid)
-                    if not ensemble:
-                        evaluate(res)
-                except Exception as exc:  # noqa: BLE001 - failures become artifacts
-                    res.error = f"{type(exc).__name__}: {exc}"
-                _write_json(omega_dir / f"realisation-{k}.json", _member_doc(res))
-                if res.error is not None:
-                    incomplete.append(f"{state_id}/{_omega_dirname(omega)}/{k}")
-                    continue
-                members.append(res)
-            if not ensemble:
-                evaluated = members
-            elif members:
-                mean = _evaluate_average(members, evaluate)
-                _write_json(omega_dir / "ensemble.json", _ensemble_doc(mean, members))
-                evaluated = [mean]
-            else:
-                evaluated = []
+            done = evaluated[state_idx, omega_idx]
             witness_rows += [
-                [r.state_id, r.omega, r.realisation, *_witness_values(r)]
-                for r in evaluated
+                [r.state_id, r.omega, r.realisation, *_witness_values(r)] for r in done
             ]
-            summary_rows.append(_summary_row(state_id, omega, evaluated))
+            summary_rows.append(_summary_row(state_id, omega, done))
     _write_witness_tables(run_dir, witness_rows, summary_rows)
     write_manifest(run_dir, cfg_hash, incomplete)
     return run_dir
+
+
+def _realise_screen(
+    config: RunConfig,
+    states: list[BipartitePureState],
+    omega_idx: int,
+    k: int,
+    grid: Grid2D,
+    evaluators,
+) -> list[_TaskResult]:
+    """Every state's realisation k at one strength, through one screen.
+
+    The states are evaluated too when evaluators are given. A screen that
+    cannot be drawn makes an error of every state's realisation.
+    """
+    omega = config.omegas[omega_idx]
+    results = [
+        _TaskResult(state_id=state_id, omega=omega, realisation=k)
+        for state_id in config.states
+    ]
+    try:
+        screen = generate_screen(
+            TurbulenceSpec(
+                r0=omega_to_fried(omega, 0, config.w0),
+                grid=grid,
+                seed=derive_seed(config.master_seed, 0, omega_idx, k),
+                n_subharmonics=config.n_subharmonics,
+            )
+        )
+    except Exception as exc:  # noqa: BLE001 - failures become artifacts
+        for res in results:
+            res.error = _error_text(exc)
+        return results
+    for state_idx, res in enumerate(results):
+        try:
+            _realise(res, config, states[state_idx], state_idx, omega_idx, screen)
+            if evaluators is not None:
+                evaluators[state_idx](res)
+        except Exception as exc:  # noqa: BLE001 - failures become artifacts
+            res.error = _error_text(exc)
+    return results
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _evaluate_average(members: list[_TaskResult], evaluate) -> _TaskResult:

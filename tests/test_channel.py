@@ -159,7 +159,8 @@ class TestEffectiveChannel:
         with pytest.raises(ValueError, match="w0"):
             simulate_tomography(catalog()["0_1"], screen=s)
 
-    def test_sweep_builds_modes_once_per_state(self, monkeypatch, tmp_path):
+    @staticmethod
+    def count_modes(monkeypatch):
         calls = []
 
         def counting_lg_field(mode, grid):
@@ -168,6 +169,11 @@ class TestEffectiveChannel:
 
         monkeypatch.setattr(skysim.channel, "_held_weights", {})
         monkeypatch.setattr(skysim.channel, "lg_field", counting_lg_field)
+        return calls
+
+    def test_sweep_builds_modes_once_per_mirror_pair(self, monkeypatch, tmp_path):
+        # 0_m1_phase (ells_b 0, 1) mirrors 0_1 (0, -1)
+        calls = self.count_modes(monkeypatch)
         config = RunConfig(
             states=("0_1", "0_m1_phase"),
             omegas=(0.25, 0.5, 0.75),
@@ -175,7 +181,50 @@ class TestEffectiveChannel:
             grid_n=128,
         )
         run_static(config, tmp_path)
-        assert calls == [0, -1, 0, 1]
+        assert calls == [0, -1]
+
+    def test_sweep_over_two_pairs_builds_each_once(self, monkeypatch, tmp_path):
+        # the sweep alternates between the pairs at every screen
+        calls = self.count_modes(monkeypatch)
+        config = RunConfig(
+            states=("0_1", "2_3", "0_m1"), omegas=(0.5, 1.0), realisations=2,
+            grid_n=128,
+        )
+        run_static(config, tmp_path)
+        assert calls == [0, -1, -2, -3]
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_mirror_channel_equals_fresh_build(self, n):
+        for ells in ((0, -1), (0, 2), (-2, -3)):
+            mirror = SimpleNamespace(ells_b=tuple(-ell for ell in ells))
+            for seed in range(3):
+                s = screen_for(1.5, 80 + seed, n=n)
+                skysim.channel._held_weights.clear()
+                fresh = effective_channel(mirror, s, W0)
+                skysim.channel._held_weights.clear()
+                effective_channel(SimpleNamespace(ells_b=ells), s, W0)
+                shared = effective_channel(mirror, s, W0)
+                assert len(skysim.channel._held_weights) == 1
+                assert np.array_equal(shared, fresh), (ells, seed)
+
+    def test_held_pairs_bounded(self, monkeypatch):
+        calls = self.count_modes(monkeypatch)
+        s = screen_for(0.5, 3)
+        pairs = [(0, 1), (0, 2), (0, 3), (2, 3), (1, 4), (0, -1)]
+        for ells in pairs:
+            effective_channel(SimpleNamespace(ells_b=ells), s, W0)
+            assert len(skysim.channel._held_weights) <= 4
+        # (0, 1) was the oldest of five pairs and was dropped; (0, -1) rebuilds it
+        assert len(calls) == 2 * len(pairs)
+        assert [key[0] for key in skysim.channel._held_weights] == pairs[2:]
+
+    def test_new_grid_drops_held_pairs(self, monkeypatch):
+        calls = self.count_modes(monkeypatch)
+        state = SimpleNamespace(ells_b=(0, 1))
+        effective_channel(state, screen_for(0.5, 3, n=128), W0)
+        effective_channel(state, screen_for(0.5, 3, n=256), W0)
+        assert len(skysim.channel._held_weights) == 1
+        assert calls == [0, 1, 0, 1]
 
     def test_projective_probabilities_ideal(self):
         # rows and columns: projectors 0, 1, s0 (plus), s90, s180 (minus), s270

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,26 @@ class TestFailureCapture:
         assert row["n_ok"] == "0"
         assert row["skyrmion_mean"] == ""
 
+    def test_unresolvable_shared_screen_fails_every_state(self, tmp_path):
+        cfg = RunConfig(
+            states=("0_1", "0_m2"), omegas=(0.5, 20.0), realisations=1, grid_n=128,
+        )
+        run_dir = run_static(cfg, tmp_path)
+        for state_id in cfg.states:
+            doc = json.loads(
+                (run_dir / state_id / "omega-20.00" / "realisation-0.json").read_text()
+            )
+            assert doc["incomplete"] is True
+            assert "SamplingError" in doc["error"]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["incomplete"] == ["0_1/omega-20.00/0", "0_m2/omega-20.00/0"]
+        with open(run_dir / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["state"], r["omega"], r["n_ok"]) for r in rows] == [
+            ("0_1", "0.5", "1"), ("0_1", "20", "0"),
+            ("0_m2", "0.5", "1"), ("0_m2", "20", "0"),
+        ]
+
     def test_degenerate_wrapping_number_keeps_witnesses(self, tmp_path, monkeypatch):
         def degenerate(*args, **kwargs):
             raise DegenerateFieldError("injected")
@@ -276,6 +297,67 @@ class TestEnsembleRun:
         }
 
 
+class TestSharedScreens:
+    CONFIG = RunConfig(
+        states=("0_1", "2_3"), omegas=(0.25, 0.5, 0.75), realisations=2,
+        grid_n=128, master_seed=51,
+    )
+
+    def test_one_screen_per_strength_and_realisation(self, tmp_path, monkeypatch):
+        seeds = []
+        original = experiments.generate_screen
+
+        def counted(spec):
+            seeds.append(spec.seed)
+            return original(spec)
+
+        monkeypatch.setattr(experiments, "generate_screen", counted)
+        run_static(self.CONFIG, tmp_path)
+        assert seeds == [
+            derive_seed(51, 0, i, k) for i in range(3) for k in range(2)
+        ]
+
+    @pytest.mark.parametrize("mode", ["static", "ensemble"])
+    def test_states_share_each_screen(self, tmp_path, mode):
+        cfg = replace(self.CONFIG, mode=mode)
+        run_dir = run(cfg, tmp_path)
+        for omega_idx, omega in enumerate(cfg.omegas):
+            for k in range(cfg.realisations):
+                provenance = [
+                    json.loads(
+                        (run_dir / s / f"omega-{omega:.2f}" / f"realisation-{k}.json")
+                        .read_text()
+                    )["record"]["provenance"]
+                    for s in cfg.states
+                ]
+                assert provenance[0]["screen_hash"] == provenance[1]["screen_hash"]
+                assert {p["seed"] for p in provenance} == {
+                    derive_seed(51, 0, omega_idx, k)
+                }
+
+    def test_table_rows_by_state_then_strength(self, tmp_path):
+        run_dir = run_static(self.CONFIG, tmp_path)
+        with open(run_dir / "witnesses.csv") as fh:
+            rows = [(r["state"], r["omega"], r["realisation"]) for r in csv.DictReader(fh)]
+        assert rows == [
+            (s, f"{o:g}", str(k))
+            for s in self.CONFIG.states
+            for o in self.CONFIG.omegas
+            for k in range(2)
+        ]
+        with open(run_dir / "summary.csv") as fh:
+            rows = [(r["state"], r["omega"]) for r in csv.DictReader(fh)]
+        assert rows == [(s, f"{o:g}") for s in self.CONFIG.states for o in self.CONFIG.omegas]
+
+    def test_first_state_of_a_sweep_sees_its_single_state_screens(self, tmp_path):
+        alone = replace(self.CONFIG, states=("0_1",))
+        pair_dir = run_static(self.CONFIG, tmp_path / "pair")
+        alone_dir = run_static(alone, tmp_path / "alone")
+        for path in sorted((alone_dir / "0_1").rglob("*.json")):
+            twin = pair_dir / path.relative_to(alone_dir)
+            assert twin.read_bytes() == path.read_bytes()
+
+
 def _static_numbers(run_dir):
     with open(run_dir / "witnesses.csv") as fh:
         return [(r["state"], float(r["skyrmion"])) for r in csv.DictReader(fh)]
@@ -330,6 +412,7 @@ class TestPastFailures:
         )
         run_dir = run_ensemble(cfg, tmp_path)
         cat = catalog()
+        flipped = set()
         for state_id in cfg.states:
             target = sum(cat[state_id].ells_a)
             for omega in cfg.omegas:
@@ -338,13 +421,14 @@ class TestPastFailures:
                     .read_text()
                 )
                 sky = doc["skyrmion"]
-                if (state_id, omega) == ("0_1", 2.0):
-                    # the averaged channel reverses the ellipsoid
-                    assert sky["number"] == -target
-                    assert sky["det"] > 0
+                # an averaged channel that reverses the ellipsoid (det > 0)
+                # flips the number, and nothing else does
+                if sky["det"] > 0:
+                    assert sky["number"] == -target, (state_id, omega)
+                    flipped.add((state_id, omega))
                 else:
                     assert sky["number"] == target, (state_id, omega)
-                    assert sky["det"] < 0
+        assert flipped == {("0_1", 2.0), ("0_m2", 1.0)}
 
 
 class TestCalibration:
