@@ -8,7 +8,8 @@ Exit codes: 0 on success, 1 for usage errors (bad or missing flags),
 2 for runtime failures (missing files, unresolvable configurations).
 The SKYSIM_SEED environment variable overrides whichever seed a
 subcommand would otherwise use, which lets wrappers rerun a pinned
-configuration without editing configs.
+configuration without editing configs; main parses it once for every
+subcommand that takes a seed.
 
 Heavy imports happen inside the handlers so that --threads can cap the
 linear-algebra thread pools before the numeric stack loads.
@@ -80,7 +81,7 @@ def _build_parser() -> _Parser:
     runp = sub.add_parser("run", help="execute a sweep from a config file")
     runp.add_argument("--config", required=True, help="RunConfig JSON path")
     runp.add_argument("--out", required=True, help="results root directory")
-    runp.set_defaults(func=_cmd_run)
+    runp.set_defaults(func=_cmd_run, seed=None)
 
     topology = sub.add_parser(
         "topology", help="skyrmion number of a catalog or stored state"
@@ -155,14 +156,9 @@ def _check_screen_flags(args, parser) -> None:
 
 
 def _cmd_screens(args, parser) -> int:
-    from skysim.experiments import derive_seed
+    from skysim.experiments import _draw_screen
     from skysim.modes import make_grid
-    from skysim.turbulence import (
-        TurbulenceSpec,
-        generate_screen,
-        omega_to_fried,
-        write_screen,
-    )
+    from skysim.turbulence import omega_to_fried, write_screen
 
     _check_screen_flags(args, parser)
     w0 = _default_w0(args.w0)
@@ -171,13 +167,8 @@ def _cmd_screens(args, parser) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for k in range(args.n_screens):
-        spec = TurbulenceSpec(
-            r0=r0,
-            grid=grid,
-            seed=derive_seed(args.seed, 0, 0, k),
-            n_subharmonics=args.n_subharmonics,
-        )
-        write_screen(generate_screen(spec), out / f"screen-{k:04d}.skyp")
+        screen = _draw_screen(args.seed, 0, k, r0, grid, args.n_subharmonics)
+        write_screen(screen, out / f"screen-{k:04d}.skyp")
     print(f"wrote {args.n_screens} screens to {out}")
     return 0
 
@@ -249,8 +240,8 @@ def _cmd_run(args, parser) -> int:
     if not config_path.exists():
         raise FileNotFoundError(f"config file {config_path} does not exist")
     config = config_from_json(json.loads(config_path.read_text()))
-    if _ENV_SEED in os.environ:
-        config = replace(config, master_seed=int(os.environ[_ENV_SEED]))
+    if args.seed is not None:
+        config = replace(config, master_seed=args.seed)
     run_dir = run(config, args.out)
     print(f"results in {run_dir}")
     return 0

@@ -10,11 +10,13 @@ by every state, so the states are compared through the same turbulence;
 the counts of the state of index j are seeded derive_seed(master, j, i,
 k, stream=1).
 
-Static and ensemble runs share one sweep loop over strength, then
-realisation, then state. Every realisation is realised (tomography
-through the shared screen, reconstruction) and written; a static run
-then evaluates each one (witnesses, wrapping number), while an ensemble
-run evaluates only the average of each strength's realisations.
+One sweep, run(), loops over strength, then realisation, then state,
+and the config's mode alone chooses what it evaluates. Every realisation
+is realised (tomography through the shared screen, reconstruction) and
+written; a static config then evaluates each one (witnesses, wrapping
+number), while an ensemble config evaluates only the average of each
+strength's realisations. run_static and run_ensemble are run() for
+their own mode and refuse a config of the other.
 
 Turbulence strengths are converted to Fried parameters with the
 fundamental-mode convention throughout the sweeps.
@@ -45,6 +47,7 @@ from skysim.states import (
     simulate_tomography,
 )
 from skysim.turbulence import (
+    _SUBHARMONIC_LEVELS_MAX,
     PhaseScreen,
     TurbulenceSpec,
     generate_screen,
@@ -98,10 +101,24 @@ class RunConfig:
     count_model: CountModel | None = None
 
     def __post_init__(self):
+        if not (self.w0 > 0 and self.extent_factor > 0):
+            raise ValueError(
+                f"w0 and extent_factor must be > 0, got {self.w0}, {self.extent_factor}"
+            )
+        if not 0 <= self.n_subharmonics <= _SUBHARMONIC_LEVELS_MAX:
+            raise ValueError(
+                f"n_subharmonics must be in [0, {_SUBHARMONIC_LEVELS_MAX}], "
+                f"got {self.n_subharmonics}"
+            )
+        # A grid that cannot hold a state's arm-B modes fails every
+        # realisation alike, so it is refused before anything is written.
+        grid = self.grid()
         known = catalog()
         for s in self.states:
             if s not in known:
                 raise ValueError(f"unknown state id {s!r}")
+            for ell in known[s].ells_b:
+                _check_resolution(LGMode(ell=ell, w0=self.w0), grid)
         if len(set(self.states)) != len(self.states):
             raise ValueError(f"duplicate state ids in {self.states}")
         if self.realisations < 1:
@@ -150,9 +167,9 @@ def derive_seed(
 ) -> int:
     """Collision-free seed for one task, stable across runs and platforms.
 
-    Sweeps seed the screen of (strength omega_idx, realisation) with
-    state_idx 0 for every state, which then share it, and a state's
-    counts with its own state_idx and stream 1.
+    Screens are seeded in _draw_screen alone, with state_idx 0, so every
+    state of a sweep shares the screen of (strength omega_idx,
+    realisation); a state's counts take its own state_idx and stream 1.
     """
     seq = np.random.SeedSequence(
         (master_seed, state_idx, omega_idx, realisation, stream)
@@ -220,33 +237,6 @@ class _TaskResult:
     skyrmion: float | None = None
     sky_details: dict | None = None
     error: str | None = None
-
-
-def _realise(
-    res: _TaskResult,
-    config: RunConfig,
-    state: BipartitePureState,
-    state_idx: int,
-    omega_idx: int,
-    screen: PhaseScreen,
-) -> None:
-    """Tomography through the screen and reconstruction: fill in res.rho
-    and its record."""
-    counts_seed = derive_seed(
-        config.master_seed, state_idx, omega_idx, res.realisation, stream=1
-    )
-    record = simulate_tomography(
-        state,
-        screen=screen,
-        w0=config.w0,
-        count_model=config.count_model,
-        seed=counts_seed,
-        state_id=res.state_id,
-        omega=res.omega,
-    )
-    res.record_doc = record_to_json(record)
-    res.rho, diag = reconstruct_density(record, return_diagnostics=True)
-    res.renormalization = diag["renormalization"]
 
 
 def _evaluate(
@@ -319,45 +309,49 @@ def _prepare_run_dir(config: RunConfig, results_root) -> tuple[Path, str]:
     return run_dir, cfg_hash
 
 
-def run(config: RunConfig, results_root) -> Path:
-    if config.mode == "ensemble":
-        return run_ensemble(config, results_root)
-    return run_static(config, results_root)
+def _require_mode(config: RunConfig, mode: str) -> None:
+    if config.mode != mode:
+        raise ValueError(
+            f"run_{mode} takes a config of mode {mode!r}, got {config.mode!r}"
+        )
 
 
 def run_static(config: RunConfig, results_root) -> Path:
-    """Per-realisation pipeline: screen, tomography, witnesses, topology.
+    """run() of a static config: every realisation is evaluated.
 
-    Every realisation lands in its own JSON file; aggregate tables are
-    written alongside, the manifest last. Failed realisations are
-    captured as error artifacts instead of aborting the sweep; a
-    realisation whose wrapping number alone cannot be computed keeps
-    its witnesses beside a null number.
+    Raises ValueError, before any directory is created, for an ensemble
+    config.
     """
-    return _sweep(config, results_root, ensemble=False)
+    _require_mode(config, "static")
+    return run(config, results_root)
 
 
 def run_ensemble(config: RunConfig, results_root) -> Path:
-    """Average the reconstructed realisations before evaluating.
+    """run() of an ensemble config: only each strength's average is evaluated.
 
-    Models detection slower than the channel fluctuations: each
-    realisation's record and density are written, but witnesses and
-    the wrapping number are computed only once per strength, on the
-    ensemble-averaged state. A realisation is left out of the average
-    only if its screen, tomography or reconstruction fails. With one
-    realisation this reduces exactly to the static pipeline.
+    Raises ValueError, before any directory is created, for a static
+    config.
     """
-    return _sweep(config, results_root, ensemble=True)
+    _require_mode(config, "ensemble")
+    return run(config, results_root)
 
 
-def _sweep(config: RunConfig, results_root, ensemble: bool) -> Path:
-    """The loop over (strength, realisation, state) behind both modes.
+def run(config: RunConfig, results_root) -> Path:
+    """The sweep over (strength, realisation, state); config.mode alone
+    chooses what it evaluates.
 
-    Each realisation is realised and written. The modes differ only in
-    what they evaluate: a static sweep every realisation, an ensemble
-    sweep only the average of the realisations of each strength. The
-    tables list their rows by state, then strength, then realisation.
+    Every realisation lands in its own JSON file. A static config
+    evaluates each realisation (witnesses, wrapping number). An ensemble
+    config models detection slower than the channel fluctuations: it
+    evaluates only the average of each strength's realisations, written
+    as ensemble.json, and with one realisation reduces exactly to the
+    static pipeline. A failed realisation becomes an error artifact and
+    is left out of the average; one whose wrapping number alone fails
+    keeps its witnesses beside a null number. The tables list their rows
+    by state, then strength, then realisation; the manifest is written
+    last.
     """
+    ensemble = config.mode == "ensemble"
     run_dir, cfg_hash = _prepare_run_dir(config, results_root)
     grid = config.grid()
     cat = catalog()
@@ -369,8 +363,8 @@ def _sweep(config: RunConfig, results_root, ensemble: bool) -> Path:
             partial(_evaluate, state=state, target=target, discord_ref=discord(target))
         )
     incomplete: list[str] = []
-    # (state_idx, omega_idx) -> the evaluated states of its table rows
-    evaluated: dict[tuple[int, int], list[_TaskResult]] = {}
+    witness_rows: list[list[list]] = [[] for _ in states]
+    summary_rows: list[list[list]] = [[] for _ in states]
 
     for omega_idx, omega in enumerate(config.omegas):
         omega_dirs = [run_dir / s / _omega_dirname(omega) for s in config.states]
@@ -388,26 +382,41 @@ def _sweep(config: RunConfig, results_root, ensemble: bool) -> Path:
                     incomplete.append(f"{res.state_id}/{_omega_dirname(omega)}/{k}")
                     continue
                 members[state_idx].append(res)
-        for state_idx, done in enumerate(members):
+        for state_idx, (state_id, done) in enumerate(zip(config.states, members)):
             if ensemble and done:
-                mean = _evaluate_average(done, evaluators[state_idx])
+                rho = ensemble_average([m.rho for m in done])
+                mean = _TaskResult(state_id, omega, realisation=-1, rho=rho)
+                evaluators[state_idx](mean)
                 doc = _ensemble_doc(mean, done)
                 _write_json(omega_dirs[state_idx] / "ensemble.json", doc)
                 done = [mean]
-            evaluated[state_idx, omega_idx] = done
-
-    witness_rows: list[list] = []
-    summary_rows: list[list] = []
-    for state_idx, state_id in enumerate(config.states):
-        for omega_idx, omega in enumerate(config.omegas):
-            done = evaluated[state_idx, omega_idx]
-            witness_rows += [
+            witness_rows[state_idx] += [
                 [r.state_id, r.omega, r.realisation, *_witness_values(r)] for r in done
             ]
-            summary_rows.append(_summary_row(state_id, omega, done))
-    _write_witness_tables(run_dir, witness_rows, summary_rows)
+            summary_rows[state_idx].append(_summary_row(state_id, omega, done))
+
+    _write_witness_tables(
+        run_dir,
+        [row for rows in witness_rows for row in rows],
+        [row for rows in summary_rows for row in rows],
+    )
     write_manifest(run_dir, cfg_hash, incomplete)
     return run_dir
+
+
+def _draw_screen(
+    master_seed: int, omega_idx: int, k: int, r0: float, grid: Grid2D,
+    n_subharmonics: int,
+) -> PhaseScreen:
+    """Screen k of the strength of index omega_idx.
+
+    The one place a screen seed is formed: sweeps, calibration and the
+    screens command all draw through here.
+    """
+    seed = derive_seed(master_seed, 0, omega_idx, k)
+    return generate_screen(
+        TurbulenceSpec(r0=r0, grid=grid, seed=seed, n_subharmonics=n_subharmonics)
+    )
 
 
 def _realise_screen(
@@ -420,30 +429,38 @@ def _realise_screen(
 ) -> list[_TaskResult]:
     """Every state's realisation k at one strength, through one screen.
 
-    The states are evaluated too when evaluators are given. A screen that
-    cannot be drawn makes an error of every state's realisation.
+    Each state gets tomography through the screen and reconstruction, and
+    is evaluated too when evaluators are given. A screen that cannot be
+    drawn makes an error of every state's realisation.
     """
     omega = config.omegas[omega_idx]
     results = [
         _TaskResult(state_id=state_id, omega=omega, realisation=k)
         for state_id in config.states
     ]
+    r0 = omega_to_fried(omega, 0, config.w0)
     try:
-        screen = generate_screen(
-            TurbulenceSpec(
-                r0=omega_to_fried(omega, 0, config.w0),
-                grid=grid,
-                seed=derive_seed(config.master_seed, 0, omega_idx, k),
-                n_subharmonics=config.n_subharmonics,
-            )
+        screen = _draw_screen(
+            config.master_seed, omega_idx, k, r0, grid, config.n_subharmonics
         )
     except Exception as exc:  # noqa: BLE001 - failures become artifacts
         for res in results:
             res.error = _error_text(exc)
         return results
-    for state_idx, res in enumerate(results):
+    for state_idx, (state, res) in enumerate(zip(states, results)):
         try:
-            _realise(res, config, states[state_idx], state_idx, omega_idx, screen)
+            record = simulate_tomography(
+                state,
+                screen=screen,
+                w0=config.w0,
+                count_model=config.count_model,
+                seed=derive_seed(config.master_seed, state_idx, omega_idx, k, stream=1),
+                state_id=res.state_id,
+                omega=omega,
+            )
+            res.record_doc = record_to_json(record)
+            res.rho, diag = reconstruct_density(record, return_diagnostics=True)
+            res.renormalization = diag["renormalization"]
             if evaluators is not None:
                 evaluators[state_idx](res)
         except Exception as exc:  # noqa: BLE001 - failures become artifacts
@@ -453,18 +470,6 @@ def _realise_screen(
 
 def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
-
-
-def _evaluate_average(members: list[_TaskResult], evaluate) -> _TaskResult:
-    """Average the members and evaluate the mean state."""
-    mean = _TaskResult(
-        state_id=members[0].state_id,
-        omega=members[0].omega,
-        realisation=-1,
-        rho=ensemble_average([m.rho for m in members]),
-    )
-    evaluate(mean)
-    return mean
 
 
 def _ensemble_doc(mean: _TaskResult, members: list[_TaskResult]) -> dict:
@@ -529,13 +534,7 @@ def run_calibration(
         r0 = omega_to_fried(omega, 0, w0)
         powers = np.empty((n_screens, len(ells)))
         for k in range(n_screens):
-            screen_seed = derive_seed(seed, 0, omega_idx, k)
-            screen = generate_screen(
-                TurbulenceSpec(
-                    r0=r0, grid=grid, seed=screen_seed,
-                    n_subharmonics=n_subharmonics,
-                )
-            )
+            screen = _draw_screen(seed, omega_idx, k, r0, grid, n_subharmonics)
             for j, ell_out in enumerate(ells):
                 amp = crosstalk_amplitude(0, ell_out, screen, w0)
                 powers[k, j] = abs(amp) ** 2

@@ -128,13 +128,22 @@ class TestExitCodes:
         assert code == 2
         assert "rho.json" in err
 
-    def test_bad_env_seed_is_runtime_error(self, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["screens", "run"])
+    def test_bad_env_seed_is_runtime_error(
+        self, command, monkeypatch, tmp_path, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"states": ["0_1"], "omegas": [0.5],
+                                      "realisations": 1, "grid_n": 128}))
+        argv = {
+            "screens": ["screens", "--omega", "1.0"],
+            "run": ["run", "--config", str(config)],
+        }[command]
         monkeypatch.setenv("SKYSIM_SEED", "not-a-number")
-        code, _, err = run_cli(
-            ["screens", "--omega", "1.0", "--out", str(tmp_path)], capsys
-        )
+        code, _, err = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
         assert code == 2
-        assert "SKYSIM_SEED" in err
+        assert "SKYSIM_SEED must be an integer" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestScreens:
@@ -183,6 +192,32 @@ class TestScreens:
         for k in range(2):
             name = f"screen-{k:04d}.skyp"
             assert (cli_dir / name).read_bytes() == (api_dir / name).read_bytes()
+
+    def test_files_hold_the_screens_a_sweep_draws(self, tmp_path, capsys):
+        # screen k of the first strength of a sweep with master seed s is
+        # screen k of `skysim screens --seed s`
+        from skysim.experiments import run_static
+        from skysim.states import screen_digest
+        from skysim.turbulence import read_screen
+
+        out = tmp_path / "screens"
+        code, _, _ = run_cli(
+            ["screens", "--omega", "0.7", "--n", "128", "--n-screens", "2",
+             "--seed", "23", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        config = RunConfig(
+            states=("0_1",), omegas=(0.7, 1.2), realisations=2, grid_n=128,
+            master_seed=23,
+        )
+        run_dir = run_static(config, tmp_path / "run")
+        for k in range(2):
+            doc = json.loads(
+                (run_dir / "0_1" / "omega-0.70" / f"realisation-{k}.json").read_text()
+            )
+            screen = read_screen(out / f"screen-{k:04d}.skyp")
+            assert screen_digest(screen) == doc["record"]["provenance"]["screen_hash"]
 
     def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
         first = tmp_path / "a"

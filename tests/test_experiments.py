@@ -63,6 +63,28 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="duplicate state"):
             RunConfig(states=("0_1", "0_2", "0_1"))
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"grid_n": 15}, "grid size"),
+            ({"w0": -1.0}, "w0"),
+            # a negative waist and extent factor give a positive extent
+            ({"w0": -1.0, "extent_factor": -16.0}, "w0"),
+            ({"extent_factor": 0.0}, "extent_factor"),
+            ({"n_subharmonics": 9}, "n_subharmonics"),
+            ({"n_subharmonics": -1}, "n_subharmonics"),
+            # 0_1's arm-B modes span fewer than 8 pixels at the default extent
+            ({"grid_n": 64}, "below 8 pixels"),
+            ({"states": ("0_1", "0_3"), "grid_n": 128, "extent_factor": 5.0},
+             "beyond a third"),
+        ],
+    )
+    def test_config_that_cannot_run_rejected(self, fields, match):
+        # Each of these used to leave a config.json, or a tree of error
+        # artifacts, behind.
+        with pytest.raises(ValueError, match=match):
+            RunConfig(**fields)
+
     def test_json_round_trip_with_count_model(self):
         cfg = RunConfig(count_model=CountModel(pair_rate=1e4), master_seed=3)
         back = config_from_json(config_to_json(cfg))
@@ -286,7 +308,7 @@ class TestEnsembleRun:
             states=states, omegas=omegas, realisations=realisations,
             grid_n=128, master_seed=41,
         )
-        run_ensemble(cfg, tmp_path / "e")
+        run_ensemble(replace(cfg, mode="ensemble"), tmp_path / "e")
         pairs = len(states) * len(omegas)
         assert calls == {"evaluate_witnesses": pairs, "skyrmion_number": pairs}
         run_static(cfg, tmp_path / "s")
@@ -295,6 +317,16 @@ class TestEnsembleRun:
             "evaluate_witnesses": pairs + per_static,
             "skyrmion_number": pairs + per_static,
         }
+
+
+class TestModeFromConfig:
+    @pytest.mark.parametrize(
+        "entry, mode", [(run_static, "ensemble"), (run_ensemble, "static")]
+    )
+    def test_entry_point_refuses_the_other_mode(self, entry, mode, tmp_path):
+        with pytest.raises(ValueError, match="takes a config of mode"):
+            entry(replace(SMALL, mode=mode), tmp_path / "results")
+        assert not (tmp_path / "results").exists()
 
 
 class TestSharedScreens:
