@@ -131,8 +131,8 @@ def effective_channel(state, screen: PhaseScreen | None, w0: float) -> np.ndarra
 
 def survival_probability_analytic(omega: float) -> float:
     """Closed-form fundamental-mode survival against strength omega."""
-    if omega < 0:
-        raise ValueError(f"turbulence strength must be >= 0, got {omega}")
+    if not 0 <= omega < np.inf:
+        raise ValueError(f"turbulence strength must be finite and >= 0, got {omega}")
     from scipy.special import iv
 
     beta = _SURVIVAL_BETA_COEFF * omega ** (5.0 / 3.0)

@@ -53,7 +53,7 @@ from skysim.turbulence import (
     generate_screen,
     omega_to_fried,
 )
-from skysim.witnesses import WitnessReport, discord, evaluate_witnesses
+from skysim.witnesses import discord, evaluate_witnesses
 from skysim.topology import DegenerateFieldError, skyrmion_number
 
 __all__ = [
@@ -119,6 +119,8 @@ class RunConfig:
                 raise ValueError(f"unknown state id {s!r}")
             for ell in known[s].ells_b:
                 _check_resolution(LGMode(ell=ell, w0=self.w0), grid)
+        if not self.states:
+            raise ValueError("need at least one state")
         if len(set(self.states)) != len(self.states):
             raise ValueError(f"duplicate state ids in {self.states}")
         if self.realisations < 1:
@@ -127,9 +129,13 @@ class RunConfig:
             raise ValueError(f"mode must be 'static' or 'ensemble', got {self.mode}")
         if self.master_seed < 0:
             raise ValueError("master seed must be non-negative")
+        if not self.omegas:
+            raise ValueError("need at least one strength")
         for omega in self.omegas:
-            if omega < 0:
-                raise ValueError(f"turbulence strength must be >= 0, got {omega}")
+            if not 0 <= omega < np.inf:
+                raise ValueError(
+                    f"turbulence strength must be finite and >= 0, got {omega}"
+                )
         dirnames = [_omega_dirname(omega) for omega in self.omegas]
         if len(set(dirnames)) != len(dirnames):
             raise ValueError(
@@ -177,20 +183,10 @@ def derive_seed(
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n")
+    # Numpy values (the skyrmion center is the one array) go out through tolist().
+    text = json.dumps(doc, sort_keys=True, indent=2, default=lambda v: v.tolist())
+    path.write_text(text + "\n")
 
 
 def _fmt(value) -> str:
@@ -225,68 +221,34 @@ def write_manifest(run_dir: Path, cfg_hash: str, incomplete: list[str]) -> Path:
     return path
 
 
-@dataclass
-class _TaskResult:
-    state_id: str
-    omega: float
-    realisation: int
-    rho: DensityMatrix4 | None = None
-    record_doc: dict | None = None
-    renormalization: float | None = None
-    report: WitnessReport | None = None
-    skyrmion: float | None = None
-    sky_details: dict | None = None
-    error: str | None = None
-
-
-def _evaluate(
-    res: _TaskResult,
+def _evaluation(
+    rho: DensityMatrix4,
     state: BipartitePureState,
     target: DensityMatrix4,
     discord_ref: float,
-) -> None:
-    """Witnesses, then the wrapping number, of res.rho.
+) -> dict:
+    """Witnesses, then the wrapping number, of rho, as document fields.
 
-    A degenerate field leaves res without a wrapping number; its
-    witnesses, evaluated first, are kept.
+    A degenerate field gives a null number; its witnesses, evaluated
+    first, are kept.
     """
-    res.report = evaluate_witnesses(res.rho, target, discord_reference=discord_ref)
+    report = evaluate_witnesses(rho, target, discord_reference=discord_ref)
     try:
-        res.skyrmion, res.sky_details = skyrmion_number(
-            res.rho, state, return_details=True
-        )
+        number, details = skyrmion_number(rho, state, return_details=True)
     except DegenerateFieldError as exc:
-        res.sky_details = {"error": str(exc)}
+        number, details = None, {"error": str(exc)}
+    return {"witnesses": asdict(report), "skyrmion": {"number": number, **details}}
 
 
-def _skyrmion_doc(res: _TaskResult) -> dict:
-    return {"number": res.skyrmion, **res.sky_details}
+def _witness_values(doc: dict) -> list:
+    """One evaluated document's _WITNESS_COLUMNS; None for a missing number."""
+    values = {**doc["witnesses"], "skyrmion": doc["skyrmion"]["number"]}
+    return [values[col] for col in _WITNESS_COLUMNS]
 
 
-def _member_doc(res: _TaskResult) -> dict:
-    """One realisation's artifact: an error, or its state and evaluation."""
-    doc = {"state": res.state_id, "omega": res.omega, "realisation": res.realisation}
-    if res.error is not None:
-        return {**doc, "error": res.error, "incomplete": True}
-    doc.update(record=res.record_doc, density=density_to_json(res.rho))
-    if res.report is not None:
-        doc.update(
-            renormalization=res.renormalization,
-            witnesses=asdict(res.report),
-            skyrmion=_skyrmion_doc(res),
-        )
-    return doc
-
-
-def _witness_values(res: _TaskResult) -> list:
-    """One evaluated state's _WITNESS_COLUMNS; None for a missing number."""
-    doc = {**asdict(res.report), "skyrmion": res.skyrmion}
-    return [doc[col] for col in _WITNESS_COLUMNS]
-
-
-def _summary_row(state_id: str, omega: float, done: list[_TaskResult]) -> list:
-    row: list = [state_id, omega, len(done)]
-    table = [_witness_values(r) for r in done]
+def _summary_row(state_id: str, omega: float, table: list[list]) -> list:
+    """Mean and spread of each column of the rows of _witness_values."""
+    row: list = [state_id, omega, len(table)]
     for j in range(len(_WITNESS_COLUMNS)):
         vals = np.array([v[j] for v in table if v[j] is not None])
         if vals.size == 0:
@@ -340,16 +302,16 @@ def run(config: RunConfig, results_root) -> Path:
     """The sweep over (strength, realisation, state); config.mode alone
     chooses what it evaluates.
 
-    Every realisation lands in its own JSON file. A static config
-    evaluates each realisation (witnesses, wrapping number). An ensemble
-    config models detection slower than the channel fluctuations: it
-    evaluates only the average of each strength's realisations, written
-    as ensemble.json, and with one realisation reduces exactly to the
-    static pipeline. A failed realisation becomes an error artifact and
-    is left out of the average; one whose wrapping number alone fails
-    keeps its witnesses beside a null number. The tables list their rows
-    by state, then strength, then realisation; the manifest is written
-    last.
+    Each realisation's document from _realise_screen is its JSON file.
+    A static config evaluates each realisation (witnesses, wrapping
+    number) into its document. An ensemble config models detection
+    slower than the channel fluctuations: it evaluates only the average
+    of each strength's realisations, whose document is ensemble.json,
+    and with one realisation reduces exactly to the static pipeline. A
+    failed realisation's document is an error, left out of the average;
+    one whose wrapping number alone fails keeps its witnesses beside a
+    null number. The tables are read from the evaluated documents, rows
+    by state, then strength, then realisation; the manifest is last.
     """
     ensemble = config.mode == "ensemble"
     run_dir, cfg_hash = _prepare_run_dir(config, results_root)
@@ -360,7 +322,7 @@ def run(config: RunConfig, results_root) -> Path:
     for state in states:
         target = DensityMatrix4.from_pure(state)
         evaluators.append(
-            partial(_evaluate, state=state, target=target, discord_ref=discord(target))
+            partial(_evaluation, state=state, target=target, discord_ref=discord(target))
         )
     incomplete: list[str] = []
     witness_rows: list[list[list]] = [[] for _ in states]
@@ -370,30 +332,37 @@ def run(config: RunConfig, results_root) -> Path:
         omega_dirs = [run_dir / s / _omega_dirname(omega) for s in config.states]
         for omega_dir in omega_dirs:
             omega_dir.mkdir(parents=True, exist_ok=True)
-        members: list[list[_TaskResult]] = [[] for _ in states]
+        members: list[list[tuple[dict, DensityMatrix4]]] = [[] for _ in states]
         for k in range(config.realisations):
-            results = _realise_screen(
+            realised = _realise_screen(
                 config, states, omega_idx, k, grid, None if ensemble else evaluators
             )
-            for state_idx, res in enumerate(results):
-                doc = _member_doc(res)
+            for state_idx, (doc, rho) in enumerate(realised):
                 _write_json(omega_dirs[state_idx] / f"realisation-{k}.json", doc)
-                if res.error is not None:
-                    incomplete.append(f"{res.state_id}/{_omega_dirname(omega)}/{k}")
-                    continue
-                members[state_idx].append(res)
+                if rho is None:
+                    incomplete.append(f"{doc['state']}/{_omega_dirname(omega)}/{k}")
+                else:
+                    members[state_idx].append((doc, rho))
         for state_idx, (state_id, done) in enumerate(zip(config.states, members)):
+            evaluated = [(doc["realisation"], doc) for doc, _ in done]
             if ensemble and done:
-                rho = ensemble_average([m.rho for m in done])
-                mean = _TaskResult(state_id, omega, realisation=-1, rho=rho)
-                evaluators[state_idx](mean)
-                doc = _ensemble_doc(mean, done)
+                rho = ensemble_average([rho for _, rho in done])
+                doc = {
+                    "state": state_id,
+                    "omega": omega,
+                    "n": len(done),
+                    "seeds": [d["record"]["provenance"]["seed"] for d, _ in done],
+                    "density": density_to_json(rho),
+                    **evaluators[state_idx](rho),
+                }
+                doc["purity"] = doc["witnesses"]["purity"]
                 _write_json(omega_dirs[state_idx] / "ensemble.json", doc)
-                done = [mean]
-            witness_rows[state_idx] += [
-                [r.state_id, r.omega, r.realisation, *_witness_values(r)] for r in done
-            ]
-            summary_rows[state_idx].append(_summary_row(state_id, omega, done))
+                evaluated = [(-1, doc)]
+            rows = [[state_id, omega, k, *_witness_values(doc)] for k, doc in evaluated]
+            witness_rows[state_idx] += rows
+            summary_rows[state_idx].append(
+                _summary_row(state_id, omega, [row[3:] for row in rows])
+            )
 
     _write_witness_tables(
         run_dir,
@@ -426,28 +395,27 @@ def _realise_screen(
     k: int,
     grid: Grid2D,
     evaluators,
-) -> list[_TaskResult]:
+) -> list[tuple[dict, DensityMatrix4 | None]]:
     """Every state's realisation k at one strength, through one screen.
 
-    Each state gets tomography through the screen and reconstruction, and
-    is evaluated too when evaluators are given. A screen that cannot be
-    drawn makes an error of every state's realisation.
+    Returns, per state, the document its realisation file holds and its
+    density. The document holds the tomography record through the screen
+    and the reconstructed density; when evaluators are given, also the
+    renormalisation factor and the evaluation. A failure makes the
+    document an error and the density None; a screen that cannot be
+    drawn fails every state.
     """
     omega = config.omegas[omega_idx]
-    results = [
-        _TaskResult(state_id=state_id, omega=omega, realisation=k)
-        for state_id in config.states
-    ]
+    heads = [{"state": s, "omega": omega, "realisation": k} for s in config.states]
     r0 = omega_to_fried(omega, 0, config.w0)
     try:
         screen = _draw_screen(
             config.master_seed, omega_idx, k, r0, grid, config.n_subharmonics
         )
     except Exception as exc:  # noqa: BLE001 - failures become artifacts
-        for res in results:
-            res.error = _error_text(exc)
-        return results
-    for state_idx, (state, res) in enumerate(zip(states, results)):
+        return [(_error_doc(head, exc), None) for head in heads]
+    realised = []
+    for state_idx, (state, head) in enumerate(zip(states, heads)):
         try:
             record = simulate_tomography(
                 state,
@@ -455,34 +423,23 @@ def _realise_screen(
                 w0=config.w0,
                 count_model=config.count_model,
                 seed=derive_seed(config.master_seed, state_idx, omega_idx, k, stream=1),
-                state_id=res.state_id,
+                state_id=head["state"],
                 omega=omega,
             )
-            res.record_doc = record_to_json(record)
-            res.rho, diag = reconstruct_density(record, return_diagnostics=True)
-            res.renormalization = diag["renormalization"]
+            doc = {**head, "record": record_to_json(record)}
+            rho, diag = reconstruct_density(record, return_diagnostics=True)
+            doc["density"] = density_to_json(rho)
             if evaluators is not None:
-                evaluators[state_idx](res)
+                doc["renormalization"] = diag["renormalization"]
+                doc.update(evaluators[state_idx](rho))
+            realised.append((doc, rho))
         except Exception as exc:  # noqa: BLE001 - failures become artifacts
-            res.error = _error_text(exc)
-    return results
+            realised.append((_error_doc(head, exc), None))
+    return realised
 
 
-def _error_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _ensemble_doc(mean: _TaskResult, members: list[_TaskResult]) -> dict:
-    return {
-        "state": mean.state_id,
-        "omega": mean.omega,
-        "n": len(members),
-        "seeds": [m.record_doc["provenance"]["seed"] for m in members],
-        "density": density_to_json(mean.rho),
-        "purity": mean.report.purity,
-        "witnesses": asdict(mean.report),
-        "skyrmion": _skyrmion_doc(mean),
-    }
+def _error_doc(head: dict, exc: Exception) -> dict:
+    return {**head, "error": f"{type(exc).__name__}: {exc}", "incomplete": True}
 
 
 def _write_witness_tables(run_dir, witness_rows, summary_rows):
@@ -513,8 +470,9 @@ def run_calibration(
     screens and accumulates the output spectrum over indices within
     +-window. Returns spectra and survival tables ready for CSV export.
     Raises ValueError for fewer than one screen per strength or a
-    negative window, and SamplingError, before any screen is drawn, when
-    the grid cannot resolve every mode in the window.
+    negative window or a strength that is negative or not finite, and
+    SamplingError, when the grid cannot resolve every mode in the window;
+    all of these before any screen is drawn.
     """
     from skysim.channel import crosstalk_amplitude, survival_probability_analytic
 
@@ -529,9 +487,10 @@ def run_calibration(
     for ell in (0, window):
         _check_resolution(LGMode(ell=ell, w0=w0), grid)
     ells = list(range(-window, window + 1))
+    # A strength that cannot be converted fails here, before any screen is drawn.
+    r0s = [omega_to_fried(omega, 0, w0) for omega in omegas]
     spectra_rows, survival_rows = [], []
-    for omega_idx, omega in enumerate(omegas):
-        r0 = omega_to_fried(omega, 0, w0)
+    for omega_idx, (omega, r0) in enumerate(zip(omegas, r0s)):
         powers = np.empty((n_screens, len(ells)))
         for k in range(n_screens):
             screen = _draw_screen(seed, omega_idx, k, r0, grid, n_subharmonics)

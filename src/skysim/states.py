@@ -24,6 +24,7 @@ a repair when that linear solution is not positive.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -83,16 +84,12 @@ class BipartitePureState:
     ell_a1: int
     ell_a2: int
     relative_phase: float = 0.0
-    coefficients: tuple[complex, complex] = (1 / np.sqrt(2), 1 / np.sqrt(2))
 
     def __post_init__(self):
         if self.ell_a1 == self.ell_a2:
             raise ValueError(
                 f"branch indices must differ, got {self.ell_a1} twice"
             )
-        c1, c2 = self.coefficients
-        if abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) > 1e-12:
-            raise ValueError("branch coefficients must have unit square sum")
 
     @property
     def ells_a(self) -> tuple[int, int]:
@@ -106,8 +103,9 @@ class BipartitePureState:
 
     @property
     def branch_amplitudes(self) -> np.ndarray:
-        c1, c2 = self.coefficients
-        return np.array([c1, c2 * np.exp(1j * self.relative_phase)])
+        """Equal-weight branches, the second carrying the relative phase."""
+        h = 1 / np.sqrt(2)
+        return np.array([h, h * np.exp(1j * self.relative_phase)])
 
     def ket4(self) -> np.ndarray:
         """Logical-basis 4-vector (branches land on |00> and |11>)."""
@@ -164,6 +162,8 @@ class DensityMatrix4:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has a non-finite entry")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
@@ -233,6 +233,8 @@ class TomographyRecord:
             if key in seen:
                 raise ValueError(f"duplicate projector pair {key}")
             seen.add(key)
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite entry for ({la}, {lb}): {v}")
             if v < 0:
                 raise ValueError(f"negative entry for ({la}, {lb}): {v}")
 

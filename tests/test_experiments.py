@@ -48,9 +48,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="mode"):
             RunConfig(mode="averaged")
 
-    def test_negative_strength_rejected(self):
+    @pytest.mark.parametrize("omega", [-0.5, float("nan"), float("inf")])
+    def test_negative_strength_rejected(self, omega):
+        # nan and inf used to be written into config.json as NaN and
+        # Infinity, then fail every realisation.
         with pytest.raises(ValueError, match=">= 0"):
-            RunConfig(omegas=(-0.5,))
+            RunConfig(omegas=(omega,))
 
     @pytest.mark.parametrize("omegas", [(0.251, 0.254), (1.0, 1.0), (0.5, 1, 1.0)])
     def test_strengths_sharing_a_directory_rejected(self, omegas):
@@ -77,6 +80,8 @@ class TestRunConfig:
             ({"grid_n": 64}, "below 8 pixels"),
             ({"states": ("0_1", "0_3"), "grid_n": 128, "extent_factor": 5.0},
              "beyond a third"),
+            ({"states": ()}, "at least one state"),
+            ({"omegas": ()}, "at least one strength"),
         ],
     )
     def test_config_that_cannot_run_rejected(self, fields, match):
@@ -242,6 +247,37 @@ class TestFailureCapture:
         assert row["n_ok"] == "2"
         assert row["skyrmion_mean"] == ""
         assert row["concurrence_mean"] != ""
+
+
+    def test_failed_evaluation_becomes_artifact(self, tmp_path, monkeypatch):
+        original = experiments.evaluate_witnesses
+        calls = []
+
+        def second_call_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "evaluate_witnesses", second_call_fails)
+        cfg = RunConfig(
+            states=("0_1", "0_m2"), omegas=(0.5,), realisations=1, grid_n=128,
+        )
+        run_dir = run_static(cfg, tmp_path)
+        doc = json.loads(
+            (run_dir / "0_m2" / "omega-0.50" / "realisation-0.json").read_text()
+        )
+        assert doc["incomplete"] is True
+        assert doc["error"] == "RuntimeError: injected"
+        assert "record" not in doc
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["incomplete"] == ["0_m2/omega-0.50/0"]
+        with open(run_dir / "witnesses.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["state"] for r in rows] == ["0_1"]
+        with open(run_dir / "summary.csv") as fh:
+            summary = list(csv.DictReader(fh))
+        assert [(r["state"], r["n_ok"]) for r in summary] == [("0_1", "1"), ("0_m2", "0")]
 
 
 class TestEnsembleRun:
@@ -485,6 +521,15 @@ class TestCalibration:
     def test_no_screens_rejected(self, n_screens):
         with pytest.raises(ValueError, match="at least one screen"):
             run_calibration((0.5,), n_screens=n_screens, grid_n=64)
+
+    def test_non_finite_strength_rejected_before_any_screen(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(
+            experiments, "generate_screen", lambda spec: drawn.append(spec)
+        )
+        with pytest.raises(ValueError, match=">= 0"):
+            run_calibration((0.5, float("nan")), n_screens=1, grid_n=128)
+        assert drawn == []
 
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError, match="window"):

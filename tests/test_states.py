@@ -210,6 +210,14 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix4(np.eye(4, dtype=complex) / 2)
 
+    def test_rejects_non_finite_entry(self):
+        # A NaN entry used to pass every check, then fail as a LinAlgError
+        # in the first witness that took a decomposition.
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix4(m)
+
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
         with pytest.raises(ValueError, match="negative"):
@@ -430,6 +438,14 @@ class TestSerialization:
         doc = record_to_json(simulate_tomography(make_state(0, 1), state_id="0_1"))
         doc["entries"][5][:2] = doc["entries"][4][:2]
         with pytest.raises(ValueError, match="duplicate projector pair"):
+            record_from_json(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_stored_record_with_non_finite_entry_refused(self, value):
+        doc = record_to_json(simulate_tomography(make_state(0, 1), state_id="0_1"))
+        doc["entries"][5][2] = value
+        la, lb = doc["entries"][5][:2]
+        with pytest.raises(ValueError, match=rf"non-finite entry for \({la}, {lb}\)"):
             record_from_json(doc)
 
     def test_json_serializable(self):
