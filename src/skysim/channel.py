@@ -18,11 +18,12 @@ singles_b per second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from skysim.modes import ComplexField, LGMode, lg_field
-from skysim.turbulence import PhaseScreen
+from skysim.turbulence import PhaseScreen, _check_strength
 
 __all__ = [
     "CountModel",
@@ -61,28 +62,11 @@ def crosstalk_amplitude(
     return complex(np.sum(np.conj(fout.amplitude) * screened) * grid.dx**2)
 
 
-# Arm-B mode weights held per mirror pair of the current (w0, grid). For
-# p = 0, LG_-ell = conj(LG_ell), so the pair (-l0, -l1) is served by the
-# weights of (l0, l1) with Im(u0* u1) negated. The catalog has 4 mirror
-# pairs, which bounds the holder; at 512^2 each holds 8 MiB.
-_MAX_HELD = 4
-_held_weights: dict = {}
-
-
-def _mode_weights(ells_b, w0: float, grid) -> tuple[np.ndarray, bool]:
+@lru_cache(maxsize=4)
+def _pair_weights(ells: tuple[int, int], w0: float, grid) -> np.ndarray:
     """Read-only real 4 x n^2 array [|u0|^2, |u1|^2, Re(u0* u1), Im(u0* u1)]
-    of a pair of arm-B modes, and whether it is of the mirror pair, whose
-    last row has the opposite sign. A new (w0, grid) drops every held
-    array; past _MAX_HELD pairs the oldest is dropped."""
-    ells = tuple(ells_b)
-    mirror = tuple(-ell for ell in ells)
-    if any(key[1:] != (w0, grid) for key in _held_weights):
-        _held_weights.clear()
-    for key, mirrored in (((ells, w0, grid), False), ((mirror, w0, grid), True)):
-        if key in _held_weights:
-            return _held_weights[key], mirrored
-    if len(_held_weights) >= _MAX_HELD:
-        del _held_weights[next(iter(_held_weights))]
+    of a pair of arm-B modes. The catalog has 4 mirror pairs, which sets
+    the bound; at 512^2 each array is 8 MiB."""
     u0, u1 = (lg_field(LGMode(ell=ell, w0=w0), grid).amplitude.ravel() for ell in ells)
     weights = np.empty((4, u0.size))
     weights[0] = u0.real**2 + u0.imag**2
@@ -91,8 +75,7 @@ def _mode_weights(ells_b, w0: float, grid) -> tuple[np.ndarray, bool]:
     weights[2] = cross.real
     weights[3] = cross.imag
     weights.flags.writeable = False
-    _held_weights[(ells, w0, grid)] = weights
-    return weights, False
+    return weights
 
 
 def effective_channel(state, screen: PhaseScreen | None, w0: float) -> np.ndarray:
@@ -102,23 +85,26 @@ def effective_channel(state, screen: PhaseScreen | None, w0: float) -> np.ndarra
 
     `state` provides ells_b, the two mode indices encoding logical 0 and 1
     on the screened arm. The entries sum conj(u_j) u_k exp(i phi) dx^2
-    over the pixels, read off the held mode weights as one real product
-    with cos(phi) and sin(phi); a state whose pair mirrors a held one
-    shares its weights.
+    over the pixels, read off cached mode weights as one real product
+    with cos(phi) and sin(phi). For p = 0, LG_-ell = conj(LG_ell), so a
+    pair and its mirror (-l0, -l1) share the weights of the smaller key,
+    with the sign of Im(u0* u1) flipped for the other.
     """
     if screen is None:
         return np.eye(2, dtype=complex)
     if w0 is None:
         raise ValueError("w0 is required to form the channel of a screen")
     grid = screen.grid
-    weights, mirrored = _mode_weights(state.ells_b, w0, grid)
+    ells = tuple(state.ells_b)
+    key = min(ells, tuple(-ell for ell in ells))
+    weights = _pair_weights(key, w0, grid)
     phase = screen.phase.ravel()
     trig = np.empty((2, phase.size))
     np.cos(phase, out=trig[0])
     np.sin(phase, out=trig[1])
     # rows of m: |u0|^2, |u1|^2, Re and Im of u0* u1; columns: cos, sin
     m = (weights @ trig.T) * grid.dx**2
-    if mirrored:
+    if key != ells:
         m[3] = -m[3]
     (c00, s00), (c11, s11), (cre, sre), (cim, sim) = m
     return np.array(
@@ -131,8 +117,7 @@ def effective_channel(state, screen: PhaseScreen | None, w0: float) -> np.ndarra
 
 def survival_probability_analytic(omega: float) -> float:
     """Closed-form fundamental-mode survival against strength omega."""
-    if not 0 <= omega < np.inf:
-        raise ValueError(f"turbulence strength must be finite and >= 0, got {omega}")
+    _check_strength(omega)
     from scipy.special import iv
 
     beta = _SURVIVAL_BETA_COEFF * omega ** (5.0 / 3.0)
@@ -156,12 +141,15 @@ class CountModel:
 
     def __post_init__(self):
         for name in ("pair_rate", "singles_rate_a", "singles_rate_b"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not 0 < self.gate < 1:
             raise ValueError(f"gate must be a sub-second positive time, got {self.gate}")
-        if self.integration <= 0:
-            raise ValueError(f"integration must be positive, got {self.integration}")
+        if not 0 < self.integration < np.inf:
+            raise ValueError(
+                f"integration must be finite and positive, got {self.integration}"
+            )
 
     @property
     def accidental_rate(self) -> float:

@@ -29,6 +29,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from functools import partial
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,7 @@ from skysim.turbulence import (
     _SUBHARMONIC_LEVELS_MAX,
     PhaseScreen,
     TurbulenceSpec,
+    _check_strength,
     generate_screen,
     omega_to_fried,
 )
@@ -123,19 +125,20 @@ class RunConfig:
             raise ValueError("need at least one state")
         if len(set(self.states)) != len(self.states):
             raise ValueError(f"duplicate state ids in {self.states}")
-        if self.realisations < 1:
-            raise ValueError("need at least one realisation")
+        if not isinstance(self.realisations, Integral) or self.realisations < 1:
+            raise ValueError(
+                f"need an integer number of realisations >= 1, got {self.realisations}"
+            )
         if self.mode not in ("static", "ensemble"):
             raise ValueError(f"mode must be 'static' or 'ensemble', got {self.mode}")
-        if self.master_seed < 0:
-            raise ValueError("master seed must be non-negative")
+        if not isinstance(self.master_seed, Integral) or self.master_seed < 0:
+            raise ValueError(
+                f"master seed must be a non-negative integer, got {self.master_seed}"
+            )
         if not self.omegas:
             raise ValueError("need at least one strength")
         for omega in self.omegas:
-            if not 0 <= omega < np.inf:
-                raise ValueError(
-                    f"turbulence strength must be finite and >= 0, got {omega}"
-                )
+            _check_strength(omega)
         dirnames = [_omega_dirname(omega) for omega in self.omegas]
         if len(set(dirnames)) != len(dirnames):
             raise ValueError(

@@ -124,32 +124,19 @@ def catalog() -> dict[str, BipartitePureState]:
     is (-l1, -l2) with the same relative phase, negating the topological
     target. Targets cover +-1, +-2, +-3, +-5.
     """
-    base = [
-        ("0_1", (0, 1, 0.0)),
-        ("0_2", (0, 2, 0.0)),
-        ("0_3", (0, 3, 0.0)),
-        ("0_1_phase", (0, 1, -np.pi / 2)),
-        ("2_3", (2, 3, 0.0)),
+    table = [
+        ("0_1", 0, 1, 0.0),
+        ("0_2", 0, 2, 0.0),
+        ("0_3", 0, 3, 0.0),
+        ("0_1_phase", 0, 1, -np.pi / 2),
+        ("2_3", 2, 3, 0.0),
+        ("0_m1", 0, -1, 0.0),
+        ("0_m2", 0, -2, 0.0),
+        ("0_m3", 0, -3, 0.0),
+        ("0_m1_phase", 0, -1, -np.pi / 2),
+        ("m2_m3", -2, -3, 0.0),
     ]
-    out: dict[str, BipartitePureState] = {}
-    for name, (l1, l2, th) in base:
-        out[name] = make_state(l1, l2, th)
-    for name, (l1, l2, th) in base:
-        swapped = make_state(-l1, -l2, th)
-        out[_swap_name(name)] = swapped
-    return out
-
-
-def _swap_name(name: str) -> str:
-    head, sep, _ = name.partition("_phase")
-    l1, l2 = head.split("_")
-
-    def flip(s: str) -> str:
-        if s == "0":
-            return "0"
-        return s[1:] if s.startswith("m") else "m" + s
-
-    return f"{flip(l1)}_{flip(l2)}{sep}"
+    return {name: make_state(l1, l2, th) for name, l1, l2, th in table}
 
 
 @dataclass(eq=False)
@@ -347,12 +334,10 @@ def reconstruct_density(
     after squaring and 0.9912 after the projection.
 
     Returns the DensityMatrix4, or (DensityMatrix4, diagnostics dict)
-    when return_diagnostics is set. The diagnostics hold the record
-    kind, the renormalization, the linear residual and whether the repair
-    ran.
+    when return_diagnostics is set. The diagnostics hold the
+    renormalization and whether the repair ran.
     """
     raw = record.values()
-    diagnostics: dict = {"kind": record.kind}
     if record.kind == "counts":
         cm = record.count_model
         lam_acc = cm.accidental_rate * cm.integration
@@ -367,22 +352,18 @@ def reconstruct_density(
         raise ValueError("record carries no signal after accidental subtraction")
     renorm = 9.0 / total
     probs = probs * renorm
-    diagnostics["renormalization"] = renorm
 
     target = 4.0 * probs - 1.0
     x = _DESIGN_PINV @ target
-    diagnostics["linear_residual"] = float(np.sum((_DESIGN @ x - target) ** 2))
 
     rho = _from_pauli_components(np.concatenate([[1.0], x]).reshape(4, 4))
     rho = (rho + rho.conj().T) / 2.0
-    eigmin = float(np.linalg.eigvalsh(rho).min())
-    diagnostics["repaired"] = eigmin < -1e-10
-    if diagnostics["repaired"]:
+    repaired = float(np.linalg.eigvalsh(rho).min()) < -1e-10
+    if repaired:
         rho = rho @ rho
-    rho = rho / np.trace(rho).real
-    result = DensityMatrix4(rho)
+    result = DensityMatrix4(rho / np.trace(rho).real)
     if return_diagnostics:
-        return result, diagnostics
+        return result, {"renormalization": renorm, "repaired": repaired}
     return result
 
 

@@ -99,14 +99,18 @@ def kolmogorov_psd(f, r0: float):
     return out if out.ndim else float(out)
 
 
+def _check_strength(omega: float) -> None:
+    if not 0 <= omega < np.inf:
+        raise ValueError(f"turbulence strength must be finite and >= 0, got {omega}")
+
+
 def omega_to_fried(omega: float, ell: int, w0: float) -> float:
     """Fried parameter for a dimensionless strength omega = 2*w(ell)/r0.
 
     omega = 0 maps to an infinite r0, i.e. no turbulence; negative and
     non-finite values are rejected.
     """
-    if not 0 <= omega < np.inf:
-        raise ValueError(f"turbulence strength must be finite and >= 0, got {omega}")
+    _check_strength(omega)
     if omega == 0:
         return float("inf")
     return 2.0 * effective_radius(ell, w0) / omega

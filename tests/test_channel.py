@@ -120,6 +120,26 @@ class TestCrosstalk:
             assert captured <= 1.0 + 1e-9, ell_in
 
 
+def own_pair_channel(state, screen, w0):
+    """Reference: the channel read off weights built for the state's own
+    pair, never shared with its mirror, by the same real product."""
+    weights = skysim.channel._pair_weights.__wrapped__(
+        tuple(state.ells_b), w0, screen.grid
+    )
+    phase = screen.phase.ravel()
+    trig = np.empty((2, phase.size))
+    np.cos(phase, out=trig[0])
+    np.sin(phase, out=trig[1])
+    m = (weights @ trig.T) * screen.grid.dx**2
+    (c00, s00), (c11, s11), (cre, sre), (cim, sim) = m
+    return np.array(
+        [
+            [complex(c00, s00), complex(cre - sim, sre + cim)],
+            [complex(cre + sim, sre - cim), complex(c11, s11)],
+        ]
+    )
+
+
 class TestEffectiveChannel:
     def bell_like(self, theta=0.0):
         return SimpleNamespace(
@@ -144,9 +164,11 @@ class TestEffectiveChannel:
             )
 
     def test_held_weights_read_only(self):
+        skysim.channel._pair_weights.cache_clear()
         s = screen_for(0.5, 3)
         effective_channel(self.bell_like(), s, W0)
-        (weights,) = skysim.channel._held_weights.values()
+        weights = skysim.channel._pair_weights((0, -1), W0, s.grid)
+        assert skysim.channel._pair_weights.cache_info().hits == 1
         assert weights.shape == (4, 128 * 128)
         assert not weights.flags.writeable
         with pytest.raises(ValueError):
@@ -167,7 +189,7 @@ class TestEffectiveChannel:
             calls.append(mode.ell)
             return lg_field(mode, grid)
 
-        monkeypatch.setattr(skysim.channel, "_held_weights", {})
+        skysim.channel._pair_weights.cache_clear()
         monkeypatch.setattr(skysim.channel, "lg_field", counting_lg_field)
         return calls
 
@@ -195,17 +217,20 @@ class TestEffectiveChannel:
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_mirror_channel_equals_fresh_build(self, n):
-        for ells in ((0, -1), (0, 2), (-2, -3)):
-            mirror = SimpleNamespace(ells_b=tuple(-ell for ell in ells))
-            for seed in range(3):
-                s = screen_for(1.5, 80 + seed, n=n)
-                skysim.channel._held_weights.clear()
-                fresh = effective_channel(mirror, s, W0)
-                skysim.channel._held_weights.clear()
-                effective_channel(SimpleNamespace(ells_b=ells), s, W0)
-                shared = effective_channel(mirror, s, W0)
-                assert len(skysim.channel._held_weights) == 1
-                assert np.array_equal(shared, fresh), (ells, seed)
+        # Reversed, the sweep meets each mirror pair first under the key
+        # that is not the cached one, so both signs of the shared last
+        # row are checked against weights built for the state's own pair.
+        screens = [screen_for(1.5, 80 + seed, n=n) for seed in range(3)]
+        catalog_order = list(catalog().values())
+        for states in (catalog_order, catalog_order[::-1]):
+            skysim.channel._pair_weights.cache_clear()
+            for state in states:
+                for i, s in enumerate(screens):
+                    shared = effective_channel(state, s, W0)
+                    fresh = own_pair_channel(state, s, W0)
+                    assert np.array_equal(shared, fresh), (state, i)
+            # the ten catalog states fall into four mirror pairs
+            assert skysim.channel._pair_weights.cache_info().misses == 4
 
     def test_held_pairs_bounded(self, monkeypatch):
         calls = self.count_modes(monkeypatch)
@@ -213,18 +238,28 @@ class TestEffectiveChannel:
         pairs = [(0, 1), (0, 2), (0, 3), (2, 3), (1, 4), (0, -1)]
         for ells in pairs:
             effective_channel(SimpleNamespace(ells_b=ells), s, W0)
-            assert len(skysim.channel._held_weights) <= 4
-        # (0, 1) was the oldest of five pairs and was dropped; (0, -1) rebuilds it
+            assert skysim.channel._pair_weights.cache_info().currsize <= 4
+        # (0, 1) was the least recently used of five pairs and was
+        # dropped; its mirror (0, -1) rebuilds it, and the four since
+        # are still held
         assert len(calls) == 2 * len(pairs)
-        assert [key[0] for key in skysim.channel._held_weights] == pairs[2:]
+        for ells in pairs[2:]:
+            effective_channel(SimpleNamespace(ells_b=ells), s, W0)
+        assert len(calls) == 2 * len(pairs)
 
-    def test_new_grid_drops_held_pairs(self, monkeypatch):
+    def test_second_grid_builds_its_own_weights(self, monkeypatch):
         calls = self.count_modes(monkeypatch)
         state = SimpleNamespace(ells_b=(0, 1))
-        effective_channel(state, screen_for(0.5, 3, n=128), W0)
-        effective_channel(state, screen_for(0.5, 3, n=256), W0)
-        assert len(skysim.channel._held_weights) == 1
-        assert calls == [0, 1, 0, 1]
+        screens = {n: screen_for(0.5, 3, n=n) for n in (128, 256)}
+        for n in (128, 256, 128):
+            np.testing.assert_allclose(
+                effective_channel(state, screens[n], W0),
+                einsum_channel(state, screens[n], W0),
+                rtol=0, atol=1e-13,
+            )
+        # the 128 array is still held when the sweep comes back to it
+        assert calls == [0, -1, 0, -1]
+        assert skysim.channel._pair_weights.cache_info().currsize == 2
 
     def test_projective_probabilities_ideal(self):
         # rows and columns: projectors 0, 1, s0 (plus), s90, s180 (minus), s270
@@ -289,3 +324,7 @@ class TestCounting:
             CountModel(gate=0.0)
         with pytest.raises(ValueError):
             CountModel(integration=0.0)
+        for name in ("pair_rate", "singles_rate_a", "singles_rate_b", "integration"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    CountModel(**{name: value})

@@ -82,6 +82,10 @@ class TestRunConfig:
              "beyond a third"),
             ({"states": ()}, "at least one state"),
             ({"omegas": ()}, "at least one strength"),
+            # 2.5 left an empty strength directory without a manifest;
+            # 1.5 made every realisation a "seed must be integer" error
+            ({"realisations": 2.5}, "integer number of realisations"),
+            ({"master_seed": 1.5}, "non-negative integer"),
         ],
     )
     def test_config_that_cannot_run_rejected(self, fields, match):
@@ -89,6 +93,22 @@ class TestRunConfig:
         # artifacts, behind.
         with pytest.raises(ValueError, match=match):
             RunConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"pair_rate": float("nan")}, {"integration": float("nan")},
+         {"singles_rate_a": float("inf")}],
+    )
+    def test_non_finite_count_model_writes_nothing(self, fields, tmp_path):
+        # a NaN pair rate used to be written into config.json as NaN and
+        # fail every realisation
+        with pytest.raises(ValueError, match="finite"):
+            run(RunConfig(states=("0_1",), omegas=(0.5,), realisations=1, grid_n=128,
+                          count_model=CountModel(**fields)), tmp_path)
+        doc = config_to_json(SMALL) | {"count_model": fields}
+        with pytest.raises(ValueError, match="finite"):
+            config_from_json(doc)
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_round_trip_with_count_model(self):
         cfg = RunConfig(count_model=CountModel(pair_rate=1e4), master_seed=3)

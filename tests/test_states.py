@@ -184,7 +184,14 @@ class TestStates:
 
     def test_swap_negates_target_and_keeps_phase(self):
         cat = catalog()
-        assert sum(cat["0_m1"].ells_a) == -1
+        swaps = [("0_1", "0_m1"), ("0_2", "0_m2"), ("0_3", "0_m3"),
+                 ("0_1_phase", "0_m1_phase"), ("2_3", "m2_m3")]
+        for base, swapped in swaps:
+            b, s = cat[base], cat[swapped]
+            assert s.ells_a == tuple(-ell for ell in b.ells_a), swapped
+            assert s.ells_b == b.ells_a, swapped
+            assert sum(s.ells_a) == -sum(b.ells_a) != 0, swapped
+            assert s.relative_phase == b.relative_phase, swapped
         assert cat["0_m1_phase"].relative_phase == pytest.approx(-np.pi / 2)
 
 
