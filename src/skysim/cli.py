@@ -144,15 +144,14 @@ def _default_w0(value):
 
 
 def _check_screen_flags(args, parser) -> None:
-    from skysim.turbulence import _SUBHARMONIC_LEVELS_MAX
+    from skysim.turbulence import _check_levels
 
     if args.n_screens < 1:
         parser.error(f"--n-screens: need at least 1 screen, got {args.n_screens}")
-    if not 0 <= args.n_subharmonics <= _SUBHARMONIC_LEVELS_MAX:
-        parser.error(
-            f"--n-subharmonics: must be in [0, {_SUBHARMONIC_LEVELS_MAX}], "
-            f"got {args.n_subharmonics}"
-        )
+    try:
+        _check_levels(args.n_subharmonics)
+    except ValueError as exc:
+        parser.error(f"--n-subharmonics: {exc}")
 
 
 def _cmd_screens(args, parser) -> int:
@@ -375,7 +374,7 @@ def _contrast_table(run_dir: Path) -> str | None:
         cm = record.count_model
         if cm.accidental_rate <= 0:
             continue
-        peak_rate = record.values().max() / cm.integration
+        peak_rate = record.values.max() / cm.integration
         key = (doc["state"], f"{doc['omega']:.2f}")
         groups.setdefault(key, []).append(peak_rate / cm.accidental_rate)
     if not groups:

@@ -48,9 +48,9 @@ from skysim.states import (
     simulate_tomography,
 )
 from skysim.turbulence import (
-    _SUBHARMONIC_LEVELS_MAX,
     PhaseScreen,
     TurbulenceSpec,
+    _check_levels,
     _check_strength,
     generate_screen,
     omega_to_fried,
@@ -103,15 +103,12 @@ class RunConfig:
     count_model: CountModel | None = None
 
     def __post_init__(self):
-        if not (self.w0 > 0 and self.extent_factor > 0):
+        if not (0 < self.w0 < np.inf and 0 < self.extent_factor < np.inf):
             raise ValueError(
-                f"w0 and extent_factor must be > 0, got {self.w0}, {self.extent_factor}"
+                "w0 and extent_factor must be finite and > 0, "
+                f"got {self.w0}, {self.extent_factor}"
             )
-        if not 0 <= self.n_subharmonics <= _SUBHARMONIC_LEVELS_MAX:
-            raise ValueError(
-                f"n_subharmonics must be in [0, {_SUBHARMONIC_LEVELS_MAX}], "
-                f"got {self.n_subharmonics}"
-            )
+        _check_levels(self.n_subharmonics)
         # A grid that cannot hold a state's arm-B modes fails every
         # realisation alike, so it is refused before anything is written.
         grid = self.grid()
@@ -472,10 +469,12 @@ def run_calibration(
     For each strength, propagates the zero-index mode through fresh
     screens and accumulates the output spectrum over indices within
     +-window. Returns spectra and survival tables ready for CSV export.
-    Raises ValueError for fewer than one screen per strength or a
-    negative window or a strength that is negative or not finite, and
-    SamplingError, when the grid cannot resolve every mode in the window;
-    all of these before any screen is drawn.
+    Raises ValueError for fewer than one screen per strength, a negative
+    window, subharmonic levels outside the integers 0-8, a grid size that
+    is not an even integer >= 16, a waist or extent factor that is not
+    finite and positive, or a strength that is negative or not finite,
+    and SamplingError when the grid cannot resolve every mode in the
+    window; all of these before any screen is drawn.
     """
     from skysim.channel import crosstalk_amplitude, survival_probability_analytic
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from numbers import Integral
 
 import numpy as np
 
@@ -44,10 +45,10 @@ class Grid2D:
     dx: float
 
     def __post_init__(self):
-        if self.n < 16 or self.n % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 16, got n={self.n}")
-        if self.dx <= 0:
-            raise ValueError(f"pixel pitch must be positive, got dx={self.dx}")
+        if not isinstance(self.n, Integral) or self.n < 16 or self.n % 2 != 0:
+            raise ValueError(f"grid size must be an even integer >= 16, got n={self.n}")
+        if not 0 < self.dx < np.inf:
+            raise ValueError(f"pixel pitch must be finite and > 0, got dx={self.dx}")
 
     @property
     def extent(self) -> float:
@@ -74,8 +75,8 @@ class LGMode:
     w0: float
 
     def __post_init__(self):
-        if self.w0 <= 0:
-            raise ValueError(f"waist must be positive, got w0={self.w0}")
+        if not 0 < self.w0 < np.inf:
+            raise ValueError(f"waist must be finite and positive, got w0={self.w0}")
 
 
 @dataclass
@@ -128,8 +129,6 @@ class OamSpectrum:
 
 def make_grid(n: int, extent: float) -> Grid2D:
     """Build a grid of n x n samples covering a square of side `extent`."""
-    if extent <= 0:
-        raise ValueError(f"extent must be positive, got {extent}")
     return Grid2D(n=n, dx=extent / n)
 
 

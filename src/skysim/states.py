@@ -24,8 +24,8 @@ a repair when that linear solution is not positive.
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -191,46 +191,41 @@ def screen_digest(screen: PhaseScreen | None) -> str:
     return h.hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TomographyRecord:
-    """36 measurement settings with probabilities or Poisson counts.
+    """The 36 measured values, probabilities or Poisson counts, in
+    canonical setting order (`_PAIR_INDEX`, A varying slowest).
 
     Provenance must identify the state, the channel strength, the seed,
-    and the screen content hash; records without it cannot be serialized,
-    which keeps every stored reconstruction traceable to its inputs.
+    and the screen content hash; a record without it cannot be built,
+    which keeps every stored reconstruction traceable to its inputs. The
+    values and provenance are read-only once built. A record holds counts
+    exactly when it carries the CountModel that produced them. Projector
+    labels appear only in the JSON form.
     """
 
-    kind: str
-    entries: list[tuple[str, str, float]]
+    values: np.ndarray
     provenance: dict
     count_model: CountModel | None = None
 
     def __post_init__(self):
-        if self.kind not in ("probability", "counts"):
-            raise ValueError(f"kind must be 'probability' or 'counts', got {self.kind}")
-        if len(self.entries) != 36:
-            raise ValueError(f"expected 36 entries, got {len(self.entries)}")
-        if self.kind == "counts" and self.count_model is None:
-            raise ValueError("counts records must carry their CountModel")
-        seen = set()
-        for la, lb, v in self.entries:
-            key = (la, lb)
-            if key not in _PAIR_INDEX:
-                raise ValueError(f"unknown projector pair {key}")
-            if key in seen:
-                raise ValueError(f"duplicate projector pair {key}")
-            seen.add(key)
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite entry for ({la}, {lb}): {v}")
-            if v < 0:
-                raise ValueError(f"negative entry for ({la}, {lb}): {v}")
+        values = np.array(self.values, dtype=float)
+        if values.shape != (36,):
+            raise ValueError(f"expected 36 values, got shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError("record has a non-finite value")
+        if (values < 0).any():
+            raise ValueError("record has a negative value")
+        missing = [key for key in _PROVENANCE_KEYS if key not in self.provenance]
+        if missing:
+            raise ValueError(f"record provenance is missing {', '.join(missing)}")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
 
-    def values(self) -> np.ndarray:
-        """Entry values in canonical projector-pair order."""
-        out = np.empty(36)
-        for la, lb, v in self.entries:
-            out[_PAIR_INDEX[la, lb]] = v
-        return out
+    @property
+    def kind(self) -> str:
+        return "probability" if self.count_model is None else "counts"
 
 
 def projective_probability(
@@ -271,16 +266,13 @@ def simulate_tomography(
         "screen_hash": screen_digest(screen),
     }
     if count_model is None:
-        entries = [(la, lb, float(p)) for (la, lb), p in zip(_PAIR_INDEX, probs)]
-        return TomographyRecord("probability", entries, provenance)
+        return TomographyRecord(probs, provenance)
 
     rng = np.random.default_rng(seed)
     lam_acc = count_model.accidental_rate * count_model.integration
     expected = count_model.pair_budget * probs + lam_acc
-    counts = rng.poisson(expected)
-    entries = [(la, lb, float(c)) for (la, lb), c in zip(_PAIR_INDEX, counts)]
     provenance["counts_seed"] = int(seed)
-    return TomographyRecord("counts", entries, provenance, count_model=count_model)
+    return TomographyRecord(rng.poisson(expected), provenance, count_model)
 
 
 def pauli_components(matrix: np.ndarray) -> np.ndarray:
@@ -337,16 +329,15 @@ def reconstruct_density(
     when return_diagnostics is set. The diagnostics hold the
     renormalization and whether the repair ran.
     """
-    raw = record.values()
-    if record.kind == "counts":
-        cm = record.count_model
+    cm = record.count_model
+    if cm is not None:
         lam_acc = cm.accidental_rate * cm.integration
-        net = np.clip(raw - lam_acc, 0.0, None)
+        net = np.clip(record.values - lam_acc, 0.0, None)
         if cm.pair_budget <= 0:
             raise ValueError("count model has a zero pair budget")
         probs = net / cm.pair_budget
     else:
-        probs = raw.copy()
+        probs = record.values
     total = probs.sum()
     if total <= 0:
         raise ValueError("record carries no signal after accidental subtraction")
@@ -382,12 +373,12 @@ def density_from_json(doc: dict) -> DensityMatrix4:
 
 
 def record_to_json(record: TomographyRecord) -> dict:
-    for key in _PROVENANCE_KEYS:
-        if key not in record.provenance:
-            raise ValueError(f"record provenance is missing {key!r}; refusing to save")
+    """JSON-ready dict; each value goes out with its projector labels."""
     doc = {
         "kind": record.kind,
-        "entries": [[la, lb, v] for la, lb, v in record.entries],
+        "entries": [
+            [la, lb, float(v)] for (la, lb), v in zip(_PAIR_INDEX, record.values)
+        ],
         "provenance": dict(record.provenance),
     }
     if record.count_model is not None:
@@ -396,11 +387,17 @@ def record_to_json(record: TomographyRecord) -> dict:
 
 
 def record_from_json(doc: dict) -> TomographyRecord:
-    for key in _PROVENANCE_KEYS:
-        if key not in doc.get("provenance", {}):
-            raise ValueError(f"stored record is missing provenance key {key!r}")
-    cm = None
-    if "count_model" in doc:
-        cm = CountModel(**doc["count_model"])
-    entries = [(la, lb, float(v)) for la, lb, v in doc["entries"]]
-    return TomographyRecord(doc["kind"], entries, dict(doc["provenance"]), cm)
+    """Read a stored record whose entries name each setting once, in any order."""
+    entries = {(la, lb): v for la, lb, v in doc["entries"]}
+    if len(entries) != len(doc["entries"]) or entries.keys() != _PAIR_INDEX.keys():
+        raise ValueError(
+            "stored entries must name each of the 36 projector pairs once; "
+            f"unknown {[pair for pair in entries if pair not in _PAIR_INDEX]}, "
+            f"missing {[pair for pair in _PAIR_INDEX if pair not in entries]}"
+        )
+    cm = CountModel(**doc["count_model"]) if "count_model" in doc else None
+    values = [entries[pair] for pair in _PAIR_INDEX]
+    record = TomographyRecord(values, doc.get("provenance", {}), cm)
+    if doc["kind"] != record.kind:
+        raise ValueError(f"stored kind {doc['kind']!r} does not match its count model")
+    return record

@@ -24,8 +24,8 @@ spectrum is so steep that assigning each discrete mode the point value
 Phi(f) times its cell area misstates the contribution of the lowest
 cells; each cell within four grid cells of the origin instead carries a
 cell-averaged weight (curvature-matched for the FFT lattice, a geometric
-compromise for the subharmonic patches, tabulated at import from a
-midpoint quadrature). Second, the draw order of random numbers is fixed
+compromise for the subharmonic patches, from a midpoint quadrature
+computed on first use and cached). Second, the draw order of random numbers is fixed
 and documented below so that screens are reproducible bit for bit: the
 FFT block consumes one full real matrix then one full imaginary matrix,
 and each subharmonic cell consumes one complex pair in row-major cell
@@ -39,6 +39,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -104,6 +105,14 @@ def _check_strength(omega: float) -> None:
         raise ValueError(f"turbulence strength must be finite and >= 0, got {omega}")
 
 
+def _check_levels(levels: int) -> None:
+    if not isinstance(levels, Integral) or not 0 <= levels <= _SUBHARMONIC_LEVELS_MAX:
+        raise ValueError(
+            f"n_subharmonics must be an integer in [0, {_SUBHARMONIC_LEVELS_MAX}], "
+            f"got {levels}"
+        )
+
+
 def omega_to_fried(omega: float, ell: int, w0: float) -> float:
     """Fried parameter for a dimensionless strength omega = 2*w(ell)/r0.
 
@@ -128,11 +137,7 @@ class TurbulenceSpec:
     def __post_init__(self):
         if not self.r0 > 0:
             raise ValueError(f"Fried parameter must be positive, got {self.r0}")
-        if not 0 <= self.n_subharmonics <= _SUBHARMONIC_LEVELS_MAX:
-            raise ValueError(
-                f"subharmonic levels must be in [0, {_SUBHARMONIC_LEVELS_MAX}], "
-                f"got {self.n_subharmonics}"
-            )
+        _check_levels(self.n_subharmonics)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -213,9 +218,8 @@ def generate_screen(spec: TurbulenceSpec) -> PhaseScreen:
                 # row: y frequency j*dfm; column: x frequency i*dfm
                 coeff[3 * m - 2 + j, 3 * m - 2 + i] = np.sqrt(a2) * g
 
-    coords = (np.arange(n) - n / 2) * dx
     freqs = np.outer(df / 3.0 ** np.arange(1, levels + 1), (-1, 0, 1)).ravel()
-    waves = np.exp(2j * np.pi * np.outer(coords, freqs))
+    waves = np.exp(2j * np.pi * np.outer(spec.grid.coords(), freqs))
     a = waves @ coeff
     screen += a.real @ waves.real.T - a.imag @ waves.imag.T
 

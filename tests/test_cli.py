@@ -96,6 +96,23 @@ class TestExitCodes:
         assert drawn == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--w0", "--extent-factor"])
+    def test_infinite_length_fails_before_any_screen(
+        self, flag, monkeypatch, tmp_path, capsys
+    ):
+        # --w0 inf used to fail inside the first screen, in kolmogorov_psd
+        import skysim.experiments
+
+        drawn = []
+        monkeypatch.setattr(skysim.experiments, "generate_screen", drawn.append)
+        argv = ["calibrate", "--omegas", "0.5", "--n-screens", "1", "--grid-n",
+                "128", flag, "inf", "--out", str(tmp_path / "out")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "pixel pitch must be finite" in err
+        assert drawn == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("window", 10), ("use_tomography", True)])
     def test_config_with_removed_key_is_runtime_error(
         self, key, value, tmp_path, capsys

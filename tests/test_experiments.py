@@ -86,6 +86,11 @@ class TestRunConfig:
             # 1.5 made every realisation a "seed must be integer" error
             ({"realisations": 2.5}, "integer number of realisations"),
             ({"master_seed": 1.5}, "non-negative integer"),
+            # these four made every realisation an error document
+            ({"grid_n": 128.0}, "grid size"),
+            ({"n_subharmonics": 2.5}, "n_subharmonics"),
+            ({"w0": float("inf")}, "w0"),
+            ({"extent_factor": float("inf")}, "extent_factor"),
         ],
     )
     def test_config_that_cannot_run_rejected(self, fields, match):
@@ -549,6 +554,27 @@ class TestCalibration:
         )
         with pytest.raises(ValueError, match=">= 0"):
             run_calibration((0.5, float("nan")), n_screens=1, grid_n=128)
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"grid_n": 128.0}, "grid size"),
+            ({"w0": float("inf")}, "pixel pitch"),
+            ({"extent_factor": float("inf")}, "pixel pitch"),
+            ({"n_subharmonics": 2.5}, "n_subharmonics"),
+        ],
+    )
+    def test_grid_and_levels_refused_before_any_screen(
+        self, fields, match, monkeypatch
+    ):
+        # each used to fail only inside the first screen
+        drawn = []
+        monkeypatch.setattr(
+            experiments, "generate_screen", lambda spec: drawn.append(spec)
+        )
+        with pytest.raises(ValueError, match=match):
+            run_calibration((0.5,), n_screens=1, **({"grid_n": 128} | fields))
         assert drawn == []
 
     def test_negative_window_rejected(self):

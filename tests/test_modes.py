@@ -48,6 +48,27 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(64, -1.0)
 
+    @pytest.mark.parametrize(
+        "n, dx, match",
+        [
+            (128.0, 1e-5, "grid size"),
+            (128, float("inf"), "pixel pitch"),
+            (128, float("nan"), "pixel pitch"),
+            (128, 0.0, "pixel pitch"),
+        ],
+    )
+    def test_non_integer_size_or_non_finite_pitch_rejected(self, n, dx, match):
+        with pytest.raises(ValueError, match=match):
+            Grid2D(n=n, dx=dx)
+
+    def test_numpy_integer_size_accepted(self):
+        assert Grid2D(n=np.int64(128), dx=1e-5).extent == pytest.approx(1.28e-3)
+
+    @pytest.mark.parametrize("w0", [0.0, -W0, float("inf"), float("nan")])
+    def test_bad_mode_waist_rejected(self, w0):
+        with pytest.raises(ValueError, match="waist"):
+            LGMode(ell=0, w0=w0)
+
 
 class TestLGField:
     @pytest.mark.parametrize("ell", [0, 1, -1, 2, 3, -3, 5])

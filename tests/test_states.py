@@ -1,5 +1,6 @@
 """Tests for state construction, tomography, and reconstruction."""
 
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from skysim.modes import make_grid
 from skysim.states import (
     BipartitePureState,
     DensityMatrix4,
+    TomographyRecord,
     catalog,
     density_from_json,
     density_to_json,
@@ -61,9 +63,9 @@ def lstsq_reference(record):
     """np.linalg.lstsq inversion of a counts record, then the squaring repair.
 
     The model is p_k = tr rho P_k with rho = sum r_mn sigma_m x sigma_n / 4
-    and r_00 = 1, fitted over the 15 other components, with each row built
-    from the entry's own labels. Returns the density matrix and whether it
-    was repaired.
+    and r_00 = 1, fitted over the 15 other components, with row k built
+    from the labels of setting k in the canonical order. Returns the
+    density matrix and whether it was repaired.
     """
     paulis = [
         np.eye(2),
@@ -73,13 +75,12 @@ def lstsq_reference(record):
     ]
     basis = [np.kron(sm, sn) for sm in paulis for sn in paulis]
     local = {label: np.outer(ket, ket.conj()) for label, ket in KETS.items()}
-    projectors = [np.kron(local[la], local[lb]) for la, lb, _ in record.entries]
+    projectors = [np.kron(local[la], local[lb]) for la, lb in _PAIR_INDEX]
     design = np.array(
         [[np.trace(op @ proj).real / 4 for op in basis[1:]] for proj in projectors]
     )
     cm = record.count_model
-    raw = np.array([v for _, _, v in record.entries])
-    probs = np.clip(raw - cm.accidental_rate * cm.integration, 0, None)
+    probs = np.clip(record.values - cm.accidental_rate * cm.integration, 0, None)
     probs = 9 * probs / probs.sum()
     r, *_ = np.linalg.lstsq(design, probs - 0.25, rcond=None)
     rho = (basis[0] + sum(c * op for c, op in zip(r, basis[1:]))) / 4
@@ -109,8 +110,15 @@ class TestProjectors:
         pairs = [(a, b) for a in KETS for b in KETS]
         assert list(_PAIR_INDEX) == pairs
         assert list(_PAIR_INDEX.values()) == list(range(36))
-        rec = simulate_tomography(make_state(0, 1))
-        assert [(la, lb) for la, lb, _ in rec.entries] == pairs
+        state = make_state(0, 2)
+        rec = simulate_tomography(state, state_id="0_2")
+        expected = [
+            pair_probability(state, KETS[a], KETS[b], np.eye(2)) for a, b in pairs
+        ]
+        assert np.abs(rec.values - expected).max() <= 1e-15
+        stored = record_to_json(rec)["entries"]
+        assert [(la, lb) for la, lb, _ in stored] == pairs
+        assert [v for _, _, v in stored] == rec.values.tolist()
 
     def test_local_set_spans_operator_space(self):
         vecs = [np.outer(k, k.conj()).ravel() for k in _PROJECTOR_KETS]
@@ -268,11 +276,12 @@ class TestSimulateTomography:
     def test_noiseless_record_sums_to_nine(self):
         rec = simulate_tomography(make_state(0, 1))
         assert rec.kind == "probability"
-        assert rec.values().sum() == pytest.approx(9.0, abs=1e-9)
+        assert rec.values.shape == (36,)
+        assert rec.values.sum() == pytest.approx(9.0, abs=1e-9)
 
     def test_bell_state_signature_entries(self):
         rec = simulate_tomography(make_state(0, 1))
-        vals = {(la, lb): v for la, lb, v in rec.entries}
+        vals = dict(zip(_PAIR_INDEX, rec.values))
         assert vals[("0", "0")] == pytest.approx(0.5, abs=1e-12)
         assert vals[("0", "1")] == pytest.approx(0.0, abs=1e-12)
         assert vals[("s0", "s0")] == pytest.approx(0.5, abs=1e-12)
@@ -286,7 +295,7 @@ class TestSimulateTomography:
         amps = state.branch_amplitudes
         psi_eff = np.kron(np.eye(2), t) @ np.array([amps[0], 0, 0, amps[1]])
         rec = simulate_tomography(state, screen=screen, w0=W0, omega=1.0)
-        assert rec.values().sum() == pytest.approx(
+        assert rec.values.sum() == pytest.approx(
             9.0 * np.vdot(psi_eff, psi_eff).real, rel=1e-9
         )
 
@@ -294,14 +303,16 @@ class TestSimulateTomography:
         cm = CountModel()
         a = simulate_tomography(make_state(0, 1), count_model=cm, seed=42)
         b = simulate_tomography(make_state(0, 1), count_model=cm, seed=42)
-        assert a.entries == b.entries
+        assert a.kind == "counts"
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.values, np.round(a.values))
         c = simulate_tomography(make_state(0, 1), count_model=cm, seed=43)
-        assert a.entries != c.entries
+        assert not np.array_equal(a.values, c.values)
 
     def test_counts_scale_with_budget(self):
         cm = CountModel(pair_rate=4000, integration=2.5)
         rec = simulate_tomography(make_state(0, 1), count_model=cm, seed=1)
-        total = rec.values().sum()
+        total = rec.values.sum()
         assert total == pytest.approx(9.0 * cm.pair_budget, rel=0.05)
 
     def test_provenance_recorded(self):
@@ -341,7 +352,7 @@ class TestReconstruction:
         rec = simulate_tomography(state, screen=screen, w0=W0, omega=2.0)
         rho, diag = reconstruct_density(rec, return_diagnostics=True)
         assert diag["renormalization"] == pytest.approx(
-            9.0 / rec.values().sum(), rel=1e-12
+            9.0 / rec.values.sum(), rel=1e-12
         )
 
     def test_poisson_counts_reconstruction(self):
@@ -398,10 +409,9 @@ class TestReconstruction:
 
     def test_all_zero_record_rejected(self):
         rec = simulate_tomography(make_state(0, 1))
-        dead = [(la, lb, 0.0) for la, lb, _ in rec.entries]
-        rec.entries = dead
+        dead = TomographyRecord(np.zeros(36), rec.provenance)
         with pytest.raises(ValueError, match="signal"):
-            reconstruct_density(rec)
+            reconstruct_density(dead)
 
 
 class TestSerialization:
@@ -411,9 +421,9 @@ class TestSerialization:
             make_state(0, 1), count_model=cm, seed=3, state_id="0_1"
         )
         doc = record_to_json(rec)
-        back = record_from_json(doc)
-        assert back.kind == rec.kind
-        assert back.entries == rec.entries
+        back = record_from_json(json.loads(json.dumps(doc)))
+        assert back.kind == rec.kind == "counts"
+        assert np.array_equal(back.values, rec.values)
         assert back.provenance == rec.provenance
         assert back.count_model == cm
 
@@ -424,9 +434,84 @@ class TestSerialization:
 
     def test_missing_provenance_refused(self):
         rec = simulate_tomography(make_state(0, 1), state_id="0_1")
-        del rec.provenance["screen_hash"]
+        provenance = dict(rec.provenance)
+        del provenance["screen_hash"]
         with pytest.raises(ValueError, match="screen_hash"):
-            record_to_json(rec)
+            TomographyRecord(rec.values, provenance)
+
+    def test_record_without_provenance_refused_at_construction(self):
+        with pytest.raises(
+            ValueError, match="missing state_id, omega, seed, screen_hash"
+        ):
+            TomographyRecord(np.full(36, 0.25), {})
+
+    def test_record_fixed_once_built(self):
+        provenance = {"state_id": "0_1", "omega": 0.0, "seed": 0, "screen_hash": ""}
+        values = np.full(36, 0.25)
+        rec = TomographyRecord(values, provenance)
+        # the record holds copies, so its inputs can change without it
+        values[0] = -1.0
+        del provenance["seed"]
+        assert rec.values[0] == 0.25
+        assert rec.provenance["seed"] == 0
+        with pytest.raises(ValueError, match="read-only"):
+            rec.values[0] = np.nan
+        with pytest.raises(TypeError):
+            del rec.provenance["seed"]
+        with pytest.raises(AttributeError):
+            rec.kind = "counts"
+        with pytest.raises(AttributeError):
+            rec.count_model = CountModel()
+
+    @pytest.mark.parametrize(
+        "values, match",
+        [
+            (np.full(35, 0.25), "36 values"),
+            (np.full((6, 6), 0.25), "36 values"),
+            (np.r_[np.full(35, 0.25), -0.25], "negative"),
+            (np.r_[np.full(35, 0.25), np.nan], "non-finite"),
+        ],
+    )
+    def test_record_with_bad_values_refused(self, values, match):
+        provenance = {"state_id": "0_1", "omega": 0.0, "seed": 0, "screen_hash": ""}
+        with pytest.raises(ValueError, match=match):
+            TomographyRecord(values, provenance)
+
+    def test_kind_follows_count_model(self):
+        state = make_state(0, 1)
+        assert simulate_tomography(state).kind == "probability"
+        rec = simulate_tomography(state, count_model=CountModel(), seed=4)
+        assert rec.kind == "counts"
+        # the kind is whether a count model is carried, not a field of its own
+        bare = TomographyRecord(rec.values, rec.provenance)
+        assert bare.kind == "probability"
+
+    @pytest.mark.parametrize("counts", [False, True])
+    def test_stored_kind_disagreeing_with_count_model_refused(self, counts):
+        cm = CountModel() if counts else None
+        rec = simulate_tomography(make_state(0, 1), count_model=cm, seed=5)
+        doc = record_to_json(rec)
+        doc["kind"] = "probability" if counts else "counts"
+        with pytest.raises(ValueError, match="does not match its count model"):
+            record_from_json(doc)
+        # a model dropped from a counts document is refused the same way
+        if counts:
+            doc = record_to_json(rec)
+            del doc["count_model"]
+            with pytest.raises(ValueError, match="does not match its count model"):
+                record_from_json(doc)
+
+    def test_stored_entries_in_any_order_read_back_canonical(self):
+        rec = simulate_tomography(
+            make_state(0, 1, -np.pi / 2), count_model=CountModel(), seed=6
+        )
+        doc = record_to_json(rec)
+        order = np.random.default_rng(6).permutation(36)
+        doc["entries"] = [doc["entries"][i] for i in order]
+        assert [tuple(e[:2]) for e in doc["entries"]] != list(_PAIR_INDEX)
+        back = record_from_json(doc)
+        assert np.array_equal(back.values, rec.values)
+        assert record_to_json(back) == record_to_json(rec)
 
     def test_stored_record_without_provenance_refused(self):
         rec = simulate_tomography(make_state(0, 1), state_id="0_1")
@@ -438,26 +523,32 @@ class TestSerialization:
     def test_stored_record_with_unknown_pair_refused(self):
         doc = record_to_json(simulate_tomography(make_state(0, 1), state_id="0_1"))
         doc["entries"][5][1] = "s45"
-        with pytest.raises(ValueError, match="unknown projector pair"):
+        with pytest.raises(
+            ValueError, match=r"unknown \[\('0', 's45'\)\], missing \[\('0', 's270'\)\]"
+        ):
             record_from_json(doc)
 
     def test_stored_record_with_duplicate_pair_refused(self):
         doc = record_to_json(simulate_tomography(make_state(0, 1), state_id="0_1"))
         doc["entries"][5][:2] = doc["entries"][4][:2]
-        with pytest.raises(ValueError, match="duplicate projector pair"):
+        with pytest.raises(
+            ValueError, match=r"pairs once; unknown \[\], missing \[\('0', 's270'\)\]"
+        ):
+            record_from_json(doc)
+        # an extra copy of a setting is refused even with all 36 present
+        doc = record_to_json(simulate_tomography(make_state(0, 1), state_id="0_1"))
+        doc["entries"].append(list(doc["entries"][4]))
+        with pytest.raises(ValueError, match="each of the 36 projector pairs once"):
             record_from_json(doc)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_stored_record_with_non_finite_entry_refused(self, value):
         doc = record_to_json(simulate_tomography(make_state(0, 1), state_id="0_1"))
         doc["entries"][5][2] = value
-        la, lb = doc["entries"][5][:2]
-        with pytest.raises(ValueError, match=rf"non-finite entry for \({la}, {lb}\)"):
+        with pytest.raises(ValueError, match="non-finite value"):
             record_from_json(doc)
 
     def test_json_serializable(self):
-        import json
-
         rec = simulate_tomography(make_state(0, 2), state_id="0_2")
         text = json.dumps(record_to_json(rec))
         assert "s270" in text

@@ -116,6 +116,13 @@ class TestGenerateScreen:
         with pytest.raises(ValueError):
             TurbulenceSpec(r0=1.0, grid=grid, seed=-1)
 
+    def test_levels_must_be_integers(self):
+        grid = Grid2D(n=128, dx=1.0)
+        with pytest.raises(ValueError, match="n_subharmonics must be an integer"):
+            TurbulenceSpec(r0=1.0, grid=grid, seed=0, n_subharmonics=2.5)
+        spec = TurbulenceSpec(r0=1.0, grid=grid, seed=0, n_subharmonics=np.int64(3))
+        assert spec.n_subharmonics == 3
+
 
 def loop_screen(spec):
     """Reference generator: the subharmonic patches summed one full-grid
