@@ -10,13 +10,13 @@ by every state, so the states are compared through the same turbulence;
 the counts of the state of index j are seeded derive_seed(master, j, i,
 k, stream=1).
 
-One sweep, run(), loops over strength, then realisation, then state,
-and the config's mode alone chooses what it evaluates. Every realisation
-is realised (tomography through the shared screen, reconstruction) and
-written; a static config then evaluates each one (witnesses, wrapping
-number), while an ensemble config evaluates only the average of each
-strength's realisations. run_static and run_ensemble are run() for
-their own mode and refuse a config of the other.
+One sweep, run(), loops over strength, then realisation, then state: it
+realises each realisation (tomography through the shared screen,
+reconstruction), then one guarded step evaluates (witnesses, wrapping
+number) what the config's mode chooses: each realisation of a static
+config, or each strength's average of an ensemble config. run_static and
+run_ensemble are run() for their own mode and refuse a config of the
+other.
 
 Turbulence strengths are converted to Fried parameters with the
 fundamental-mode convention throughout the sweeps.
@@ -28,7 +28,6 @@ import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from functools import partial
 from numbers import Integral
 from pathlib import Path
 
@@ -69,7 +68,6 @@ __all__ = [
     "run_static",
     "run_ensemble",
     "run_calibration",
-    "write_manifest",
 ]
 
 DEFAULT_WAIST = 0.9375e-3
@@ -203,7 +201,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
 
 
-def write_manifest(run_dir: Path, cfg_hash: str, incomplete: list[str]) -> Path:
+def _write_manifest(run_dir: Path, cfg_hash: str, incomplete: list[str]) -> None:
     """Hash every artifact in the tree; written last by design."""
     artifacts = {}
     for p in sorted(run_dir.rglob("*")):
@@ -216,28 +214,32 @@ def write_manifest(run_dir: Path, cfg_hash: str, incomplete: list[str]) -> Path:
         "artifacts": artifacts,
         "incomplete": sorted(incomplete),
     }
-    path = run_dir / "manifest.json"
-    _write_json(path, doc)
-    return path
+    _write_json(run_dir / "manifest.json", doc)
 
 
-def _evaluation(
+def _evaluate(
+    head: dict,
+    body: dict,
     rho: DensityMatrix4,
     state: BipartitePureState,
     target: DensityMatrix4,
     discord_ref: float,
 ) -> dict:
-    """Witnesses, then the wrapping number, of rho, as document fields.
+    """head and body with the witnesses, then the wrapping number, of rho.
 
     A degenerate field gives a null number; its witnesses, evaluated
-    first, are kept.
+    first, are kept. Any other failure makes head an error document.
     """
-    report = evaluate_witnesses(rho, target, discord_reference=discord_ref)
     try:
-        number, details = skyrmion_number(rho, state, return_details=True)
-    except DegenerateFieldError as exc:
-        number, details = None, {"error": str(exc)}
-    return {"witnesses": asdict(report), "skyrmion": {"number": number, **details}}
+        report = evaluate_witnesses(rho, target, discord_reference=discord_ref)
+        try:
+            number, details = skyrmion_number(rho, state, return_details=True)
+        except DegenerateFieldError as exc:
+            number, details = None, {"error": str(exc)}
+    except Exception as exc:  # noqa: BLE001 - failures become artifacts
+        return _error_doc(head, exc)
+    skyrmion = {"number": number, **details}
+    return {**head, **body, "witnesses": asdict(report), "skyrmion": skyrmion}
 
 
 def _witness_values(doc: dict) -> list:
@@ -299,31 +301,27 @@ def run_ensemble(config: RunConfig, results_root) -> Path:
 
 
 def run(config: RunConfig, results_root) -> Path:
-    """The sweep over (strength, realisation, state); config.mode alone
-    chooses what it evaluates.
+    """The sweep over (strength, realisation, state): realise, then evaluate.
 
-    Each realisation's document from _realise_screen is its JSON file.
-    A static config evaluates each realisation (witnesses, wrapping
-    number) into its document. An ensemble config models detection
-    slower than the channel fluctuations: it evaluates only the average
-    of each strength's realisations, whose document is ensemble.json,
-    and with one realisation reduces exactly to the static pipeline. A
-    failed realisation's document is an error, left out of the average;
-    one whose wrapping number alone fails keeps its witnesses beside a
-    null number. The tables are read from the evaluated documents, rows
-    by state, then strength, then realisation; the manifest is last.
+    _realise_screen realises each realisation; its document is the
+    realisation's JSON file. config.mode alone chooses what _evaluate
+    then evaluates: a static config each realisation, with its
+    renormalisation factor; an ensemble config, modelling detection
+    slower than the channel fluctuations, only the average of each
+    strength's realisations, whose document is ensemble.json (with one
+    realisation this is exactly the static pipeline). In both modes a
+    failed realisation or evaluation leaves an error document, listed as
+    incomplete and left out of the average and the tables. The tables
+    are read from the evaluated documents, rows by state, then strength,
+    then realisation; the manifest is last.
     """
     ensemble = config.mode == "ensemble"
     run_dir, cfg_hash = _prepare_run_dir(config, results_root)
     grid = config.grid()
     cat = catalog()
     states = [cat[state_id] for state_id in config.states]
-    evaluators = []
-    for state in states:
-        target = DensityMatrix4.from_pure(state)
-        evaluators.append(
-            partial(_evaluation, state=state, target=target, discord_ref=discord(target))
-        )
+    targets = [DensityMatrix4.from_pure(state) for state in states]
+    discords = [discord(target) for target in targets]
     incomplete: list[str] = []
     witness_rows: list[list[list]] = [[] for _ in states]
     summary_rows: list[list[list]] = [[] for _ in states]
@@ -334,33 +332,35 @@ def run(config: RunConfig, results_root) -> Path:
             omega_dir.mkdir(parents=True, exist_ok=True)
         members: list[list[tuple[dict, DensityMatrix4]]] = [[] for _ in states]
         for k in range(config.realisations):
-            realised = _realise_screen(
-                config, states, omega_idx, k, grid, None if ensemble else evaluators
-            )
-            for state_idx, (doc, rho) in enumerate(realised):
-                _write_json(omega_dirs[state_idx] / f"realisation-{k}.json", doc)
-                if rho is None:
+            realised = _realise_screen(config, states, omega_idx, k, grid)
+            for i, (doc, rho, renormalization) in enumerate(realised):
+                if rho is not None and not ensemble:
+                    head = {"state": doc["state"], "omega": omega, "realisation": k}
+                    body = {**doc, "renormalization": renormalization}
+                    doc = _evaluate(head, body, rho, states[i], targets[i], discords[i])
+                _write_json(omega_dirs[i] / f"realisation-{k}.json", doc)
+                if "incomplete" in doc:
                     incomplete.append(f"{doc['state']}/{_omega_dirname(omega)}/{k}")
                 else:
-                    members[state_idx].append((doc, rho))
-        for state_idx, (state_id, done) in enumerate(zip(config.states, members)):
+                    members[i].append((doc, rho))
+        for i, (state_id, done) in enumerate(zip(config.states, members)):
             evaluated = [(doc["realisation"], doc) for doc, _ in done]
             if ensemble and done:
                 rho = ensemble_average([rho for _, rho in done])
-                doc = {
-                    "state": state_id,
-                    "omega": omega,
-                    "n": len(done),
-                    "seeds": [d["record"]["provenance"]["seed"] for d, _ in done],
-                    "density": density_to_json(rho),
-                    **evaluators[state_idx](rho),
-                }
-                doc["purity"] = doc["witnesses"]["purity"]
-                _write_json(omega_dirs[state_idx] / "ensemble.json", doc)
-                evaluated = [(-1, doc)]
+                seeds = [d["record"]["provenance"]["seed"] for d, _ in done]
+                head = dict(state=state_id, omega=omega, n=len(done), seeds=seeds)
+                body = {"density": density_to_json(rho)}
+                doc = _evaluate(head, body, rho, states[i], targets[i], discords[i])
+                if "incomplete" in doc:
+                    incomplete.append(f"{state_id}/{_omega_dirname(omega)}/ensemble")
+                    evaluated = []
+                else:
+                    doc["purity"] = doc["witnesses"]["purity"]
+                    evaluated = [(-1, doc)]
+                _write_json(omega_dirs[i] / "ensemble.json", doc)
             rows = [[state_id, omega, k, *_witness_values(doc)] for k, doc in evaluated]
-            witness_rows[state_idx] += rows
-            summary_rows[state_idx].append(
+            witness_rows[i] += rows
+            summary_rows[i].append(
                 _summary_row(state_id, omega, [row[3:] for row in rows])
             )
 
@@ -369,7 +369,7 @@ def run(config: RunConfig, results_root) -> Path:
         [row for rows in witness_rows for row in rows],
         [row for rows in summary_rows for row in rows],
     )
-    write_manifest(run_dir, cfg_hash, incomplete)
+    _write_manifest(run_dir, cfg_hash, incomplete)
     return run_dir
 
 
@@ -394,16 +394,14 @@ def _realise_screen(
     omega_idx: int,
     k: int,
     grid: Grid2D,
-    evaluators,
-) -> list[tuple[dict, DensityMatrix4 | None]]:
+) -> list[tuple[dict, DensityMatrix4 | None, float | None]]:
     """Every state's realisation k at one strength, through one screen.
 
-    Returns, per state, the document its realisation file holds and its
-    density. The document holds the tomography record through the screen
-    and the reconstructed density; when evaluators are given, also the
-    renormalisation factor and the evaluation. A failure makes the
-    document an error and the density None; a screen that cannot be
-    drawn fails every state.
+    Realises only: returns, per state, a document holding the tomography
+    record through the screen and the reconstructed density, the density,
+    and its renormalisation factor. A failure makes the document an error
+    and the density and factor None; a screen that cannot be drawn fails
+    every state.
     """
     omega = config.omegas[omega_idx]
     heads = [{"state": s, "omega": omega, "realisation": k} for s in config.states]
@@ -413,7 +411,7 @@ def _realise_screen(
             config.master_seed, omega_idx, k, r0, grid, config.n_subharmonics
         )
     except Exception as exc:  # noqa: BLE001 - failures become artifacts
-        return [(_error_doc(head, exc), None) for head in heads]
+        return [(_error_doc(head, exc), None, None) for head in heads]
     realised = []
     for state_idx, (state, head) in enumerate(zip(states, heads)):
         try:
@@ -429,12 +427,9 @@ def _realise_screen(
             doc = {**head, "record": record_to_json(record)}
             rho, diag = reconstruct_density(record, return_diagnostics=True)
             doc["density"] = density_to_json(rho)
-            if evaluators is not None:
-                doc["renormalization"] = diag["renormalization"]
-                doc.update(evaluators[state_idx](rho))
-            realised.append((doc, rho))
+            realised.append((doc, rho, diag["renormalization"]))
         except Exception as exc:  # noqa: BLE001 - failures become artifacts
-            realised.append((_error_doc(head, exc), None))
+            realised.append((_error_doc(head, exc), None, None))
     return realised
 
 
@@ -469,19 +464,21 @@ def run_calibration(
     For each strength, propagates the zero-index mode through fresh
     screens and accumulates the output spectrum over indices within
     +-window. Returns spectra and survival tables ready for CSV export.
-    Raises ValueError for fewer than one screen per strength, a negative
-    window, subharmonic levels outside the integers 0-8, a grid size that
-    is not an even integer >= 16, a waist or extent factor that is not
-    finite and positive, or a strength that is negative or not finite,
-    and SamplingError when the grid cannot resolve every mode in the
-    window; all of these before any screen is drawn.
+    Raises ValueError for no strength, a screen count or window that is
+    not an integer >= 1 or >= 0, subharmonic levels outside the integers
+    0-8, a grid size that is not an even integer >= 16, a waist or extent
+    factor that is not finite and positive, or a strength that is
+    negative or not finite, and SamplingError when the grid cannot
+    resolve every mode in the window; all before any screen is drawn.
     """
     from skysim.channel import crosstalk_amplitude, survival_probability_analytic
 
-    if n_screens < 1:
-        raise ValueError(f"need at least one screen per strength, got {n_screens}")
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
+    if not isinstance(n_screens, Integral) or n_screens < 1:
+        raise ValueError(
+            f"need at least one screen per strength, as an integer, got {n_screens}"
+        )
+    if not isinstance(window, Integral) or window < 0:
+        raise ValueError(f"window must be an integer >= 0, got {window}")
 
     grid = make_grid(grid_n, extent_factor * w0)
     # Mode radius grows with |ell|, so these two bound the whole window;
@@ -491,6 +488,8 @@ def run_calibration(
     ells = list(range(-window, window + 1))
     # A strength that cannot be converted fails here, before any screen is drawn.
     r0s = [omega_to_fried(omega, 0, w0) for omega in omegas]
+    if not r0s:
+        raise ValueError("need at least one strength")
     spectra_rows, survival_rows = [], []
     for omega_idx, (omega, r0) in enumerate(zip(omegas, r0s)):
         powers = np.empty((n_screens, len(ells)))

@@ -274,7 +274,13 @@ class TestFailureCapture:
         assert row["concurrence_mean"] != ""
 
 
-    def test_failed_evaluation_becomes_artifact(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mode", ["static", "ensemble"])
+    def test_failed_evaluation_becomes_artifact(self, mode, tmp_path, monkeypatch):
+        # The second evaluation is 0_m2's realisation in a static run and
+        # 0_m2's average in an ensemble run; a failed average used to abort
+        # the run before its tables and manifest.
+        key = "0" if mode == "static" else "ensemble"
+        name = "realisation-0.json" if mode == "static" else "ensemble.json"
         original = experiments.evaluate_witnesses
         calls = []
 
@@ -287,16 +293,21 @@ class TestFailureCapture:
         monkeypatch.setattr(experiments, "evaluate_witnesses", second_call_fails)
         cfg = RunConfig(
             states=("0_1", "0_m2"), omegas=(0.5,), realisations=1, grid_n=128,
+            mode=mode,
         )
-        run_dir = run_static(cfg, tmp_path)
-        doc = json.loads(
-            (run_dir / "0_m2" / "omega-0.50" / "realisation-0.json").read_text()
-        )
+        run_dir = run(cfg, tmp_path)
+        doc = json.loads((run_dir / "0_m2" / "omega-0.50" / name).read_text())
         assert doc["incomplete"] is True
         assert doc["error"] == "RuntimeError: injected"
-        assert "record" not in doc
+        assert "record" not in doc and "density" not in doc
+        if mode == "ensemble":
+            member = json.loads(
+                (run_dir / "0_m2" / "omega-0.50" / "realisation-0.json").read_text()
+            )
+            assert doc["n"] == 1
+            assert doc["seeds"] == [member["record"]["provenance"]["seed"]]
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["incomplete"] == ["0_m2/omega-0.50/0"]
+        assert manifest["incomplete"] == [f"0_m2/omega-0.50/{key}"]
         with open(run_dir / "witnesses.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["state"] for r in rows] == ["0_1"]
@@ -563,6 +574,11 @@ class TestCalibration:
             ({"w0": float("inf")}, "pixel pitch"),
             ({"extent_factor": float("inf")}, "pixel pitch"),
             ({"n_subharmonics": 2.5}, "n_subharmonics"),
+            # these two failed with a TypeError
+            ({"n_screens": 2.5}, "as an integer"),
+            ({"window": 2.5}, "window must be an integer"),
+            # this one returned empty tables
+            ({"omegas": ()}, "at least one strength"),
         ],
     )
     def test_grid_and_levels_refused_before_any_screen(
@@ -573,8 +589,9 @@ class TestCalibration:
         monkeypatch.setattr(
             experiments, "generate_screen", lambda spec: drawn.append(spec)
         )
+        args = {"omegas": (0.5,), "n_screens": 1, "grid_n": 128} | fields
         with pytest.raises(ValueError, match=match):
-            run_calibration((0.5,), n_screens=1, **({"grid_n": 128} | fields))
+            run_calibration(**args)
         assert drawn == []
 
     def test_negative_window_rejected(self):
