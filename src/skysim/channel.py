@@ -58,7 +58,7 @@ def crosstalk_amplitude(
     grid = screen.grid
     fin = lg_field(LGMode(ell=ell_in, w0=w0), grid)
     fout = lg_field(LGMode(ell=ell_out, w0=w0), grid)
-    screened = fin.amplitude * np.exp(1j * screen.phase)
+    screened = apply_screen(fin, screen).amplitude
     return complex(np.sum(np.conj(fout.amplitude) * screened) * grid.dx**2)
 
 
@@ -104,15 +104,10 @@ def effective_channel(state, screen: PhaseScreen | None, w0: float) -> np.ndarra
     np.sin(phase, out=trig[1])
     # rows of m: |u0|^2, |u1|^2, Re and Im of u0* u1; columns: cos, sin
     m = (weights @ trig.T) * grid.dx**2
+    z00, z11, zre, zim = m[:, 0] + 1j * m[:, 1]
     if key != ells:
-        m[3] = -m[3]
-    (c00, s00), (c11, s11), (cre, sre), (cim, sim) = m
-    return np.array(
-        [
-            [complex(c00, s00), complex(cre - sim, sre + cim)],
-            [complex(cre + sim, sre - cim), complex(c11, s11)],
-        ]
-    )
+        zim = -zim
+    return np.array([[z00, zre + 1j * zim], [zre - 1j * zim, z11]])
 
 
 def survival_probability_analytic(omega: float) -> float:

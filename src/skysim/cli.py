@@ -18,6 +18,7 @@ linear-algebra thread pools before the numeric stack loads.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -172,6 +173,12 @@ def _cmd_screens(args, parser) -> int:
     return 0
 
 
+_CALIBRATION_COLUMNS = {
+    "spectra": ["omega", "ell_out", "mean_power", "std_power"],
+    "survival": ["omega", "survival_mean", "survival_std", "survival_analytic"],
+}
+
+
 def write_calibration_tables(out_dir, result: dict, fmt: str = "csv") -> list[Path]:
     """Persist a calibration result exactly as the CLI does."""
     from skysim.experiments import _write_csv
@@ -182,19 +189,11 @@ def write_calibration_tables(out_dir, result: dict, fmt: str = "csv") -> list[Pa
         path = out / "calibration.json"
         path.write_text(json.dumps(result, sort_keys=True, indent=2) + "\n")
         return [path]
-    spectra = out / "spectra.csv"
-    survival = out / "survival.csv"
-    _write_csv(
-        spectra,
-        ["omega", "ell_out", "mean_power", "std_power"],
-        result["spectra"],
-    )
-    _write_csv(
-        survival,
-        ["omega", "survival_mean", "survival_std", "survival_analytic"],
-        result["survival"],
-    )
-    return [spectra, survival]
+    paths = []
+    for name, header in _CALIBRATION_COLUMNS.items():
+        paths.append(out / f"{name}.csv")
+        _write_csv(paths[-1], header, result[name])
+    return paths
 
 
 def _parse_omegas(text: str, parser):
@@ -337,26 +336,31 @@ def _format_table(title: str, header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summary_tables(run_dir: Path) -> list[str]:
-    import csv as csvmod
+def _column_table(
+    title: str, header: list[str], rows: list[dict], fields: list[str]
+) -> str:
+    """The given fields of CSV rows as a table; an empty field is a gap."""
+    return _format_table(title, header, [[r[f] or _GAP for f in fields] for r in rows])
 
-    with open(run_dir / "summary.csv") as fh:
-        rows = list(csvmod.DictReader(fh))
-    tables = []
-    for title, col in (
-        ("skyrmion number vs strength", "skyrmion"),
-        ("purity vs strength", "purity"),
-        ("discord vs strength", "discord"),
-    ):
-        body = []
-        for r in rows:
-            mean = r.get(f"{col}_mean", "") or _GAP
-            std = r.get(f"{col}_std", "") or _GAP
-            body.append([r["state"], r["omega"], r["n_ok"], mean, std])
-        tables.append(
-            _format_table(title, ["state", "omega", "n", "mean", "std"], body)
+
+def _read_csv(path: Path) -> list[dict]:
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+def _summary_tables(run_dir: Path) -> list[str]:
+    rows = _read_csv(run_dir / "summary.csv")
+    return [
+        _column_table(
+            title, ["state", "omega", "n", "mean", "std"], rows,
+            ["state", "omega", "n_ok", f"{col}_mean", f"{col}_std"],
         )
-    return tables
+        for title, col in (
+            ("skyrmion number vs strength", "skyrmion"),
+            ("purity vs strength", "purity"),
+            ("discord vs strength", "discord"),
+        )
+    ]
 
 
 def _contrast_table(run_dir: Path) -> str | None:
@@ -392,36 +396,32 @@ def _contrast_table(run_dir: Path) -> str | None:
 
 
 def _calibration_tables(results_dir: Path) -> list[str]:
-    import csv as csvmod
+    """Tables of calibration.json, its numbers formatted as the CSV files
+    hold them, or else of the CSV files present."""
+    from skysim.experiments import _fmt
 
+    path = results_dir / "calibration.json"
+    doc = json.loads(path.read_text()) if path.exists() else None
+    calibration = {}
+    for name, header in _CALIBRATION_COLUMNS.items():
+        if doc is not None:
+            calibration[name] = [dict(zip(header, map(_fmt, row))) for row in doc[name]]
+        elif (results_dir / f"{name}.csv").exists():
+            calibration[name] = _read_csv(results_dir / f"{name}.csv")
     tables = []
-    survival = results_dir / "survival.csv"
-    if survival.exists():
-        with open(survival) as fh:
-            rows = list(csvmod.DictReader(fh))
-        body = [
-            [
-                r["omega"],
-                r["survival_mean"],
-                r["survival_std"] or _GAP,
-                r["survival_analytic"],
-            ]
-            for r in rows
-        ]
+    if "survival" in calibration:
         tables.append(
-            _format_table(
+            _column_table(
                 "fundamental-mode survival vs strength",
                 ["omega", "simulated", "std", "analytic"],
-                body,
+                calibration["survival"],
+                _CALIBRATION_COLUMNS["survival"],
             )
         )
-    spectra = results_dir / "spectra.csv"
-    if spectra.exists():
-        with open(spectra) as fh:
-            rows = list(csvmod.DictReader(fh))
+    if "spectra" in calibration:
         display = [str(ell) for ell in range(-5, 6)]
         by_omega: dict[str, dict[str, str]] = {}
-        for r in rows:
+        for r in calibration["spectra"]:
             by_omega.setdefault(r["omega"], {})[r["ell_out"]] = f"{float(r['mean_power']):.4f}"
         body = [
             [omega] + [cells.get(ell, _GAP) for ell in display]
@@ -450,7 +450,7 @@ def _cmd_report(args, parser) -> int:
     tables.extend(_calibration_tables(results_dir))
     if not tables:
         raise FileNotFoundError(
-            f"no summary.csv, survival.csv, or spectra.csv under {results_dir}"
+            f"no summary.csv or calibration tables under {results_dir}"
         )
     text = "\n".join(tables)
     if args.out:

@@ -126,10 +126,7 @@ class RunConfig:
             )
         if self.mode not in ("static", "ensemble"):
             raise ValueError(f"mode must be 'static' or 'ensemble', got {self.mode}")
-        if not isinstance(self.master_seed, Integral) or self.master_seed < 0:
-            raise ValueError(
-                f"master seed must be a non-negative integer, got {self.master_seed}"
-            )
+        _check_master_seed(self.master_seed)
         if not self.omegas:
             raise ValueError("need at least one strength")
         for omega in self.omegas:
@@ -143,6 +140,11 @@ class RunConfig:
 
     def grid(self) -> Grid2D:
         return make_grid(self.grid_n, self.extent_factor * self.w0)
+
+
+def _check_master_seed(seed) -> None:
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"master seed must be a non-negative integer, got {seed}")
 
 
 def config_to_json(config: RunConfig) -> dict:
@@ -465,20 +467,23 @@ def run_calibration(
     screens and accumulates the output spectrum over indices within
     +-window. Returns spectra and survival tables ready for CSV export.
     Raises ValueError for no strength, a screen count or window that is
-    not an integer >= 1 or >= 0, subharmonic levels outside the integers
-    0-8, a grid size that is not an even integer >= 16, a waist or extent
-    factor that is not finite and positive, or a strength that is
-    negative or not finite, and SamplingError when the grid cannot
-    resolve every mode in the window; all before any screen is drawn.
+    not an integer >= 1 or >= 0, a seed that is not a non-negative
+    integer, subharmonic levels outside the integers 0-8, a grid size
+    that is not an even integer >= 16, a waist or extent factor that is
+    not finite and positive, or a strength that is negative or not
+    finite, and SamplingError when the grid cannot resolve every mode in
+    the window; all before any screen is drawn.
     """
     from skysim.channel import crosstalk_amplitude, survival_probability_analytic
 
+    omegas = tuple(omegas)
     if not isinstance(n_screens, Integral) or n_screens < 1:
         raise ValueError(
             f"need at least one screen per strength, as an integer, got {n_screens}"
         )
     if not isinstance(window, Integral) or window < 0:
         raise ValueError(f"window must be an integer >= 0, got {window}")
+    _check_master_seed(seed)
 
     grid = make_grid(grid_n, extent_factor * w0)
     # Mode radius grows with |ell|, so these two bound the whole window;

@@ -348,7 +348,6 @@ def reconstruct_density(
     x = _DESIGN_PINV @ target
 
     rho = _from_pauli_components(np.concatenate([[1.0], x]).reshape(4, 4))
-    rho = (rho + rho.conj().T) / 2.0
     repaired = float(np.linalg.eigvalsh(rho).min()) < -1e-10
     if repaired:
         rho = rho @ rho

@@ -89,7 +89,7 @@ def kolmogorov_psd(f, r0: float):
     """Phase power spectral density at spatial frequency f (cycles/m).
 
     Accepts scalars or arrays; every frequency must be strictly positive.
-    An infinite r0 is allowed and gives zero power (no turbulence).
+    An infinite frequency or r0 is allowed and gives zero power.
     """
     f = np.asarray(f, dtype=float)
     if np.any(f <= 0):
@@ -183,12 +183,10 @@ def generate_screen(spec: TurbulenceSpec) -> PhaseScreen:
     rng = np.random.default_rng(spec.seed)
     df = 1.0 / (n * dx)
 
-    idx = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    M1, M2 = np.meshgrid(idx, idx, indexing="xy")
-    F = np.hypot(M1 * df, M2 * df)
-    amp = np.zeros_like(F)
-    nz = F > 0
-    amp[nz] = np.sqrt(kolmogorov_psd(F[nz], r0)) * df
+    f = np.fft.fftfreq(n, 1.0 / n).astype(int) * df
+    F = np.hypot(f, f[:, None])
+    F[0, 0] = np.inf  # the DC cell carries no power
+    amp = np.sqrt(kolmogorov_psd(F, r0)) * df
     for a in range(-_WEIGHT_RADIUS, _WEIGHT_RADIUS + 1):
         for b in range(-_WEIGHT_RADIUS, _WEIGHT_RADIUS + 1):
             if (a, b) != (0, 0):
@@ -223,7 +221,8 @@ def generate_screen(spec: TurbulenceSpec) -> PhaseScreen:
     a = waves @ coeff
     screen += a.real @ waves.real.T - a.imag @ waves.imag.T
 
-    return PhaseScreen(spec=spec, phase=screen - screen.mean())
+    screen -= screen.mean()
+    return PhaseScreen(spec=spec, phase=screen)
 
 
 def phase_structure_theory(r, r0: float):

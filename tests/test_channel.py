@@ -61,9 +61,13 @@ class TestCrosstalk:
         assert crosstalk_amplitude(0, 0, s, W0) == pytest.approx(1.0, abs=1e-6)
         assert abs(crosstalk_amplitude(0, 2, s, W0)) < 1e-3
 
-    def test_matrix_matches_single_amplitudes(self):
+    # (0, 1) is the mirror of (0, -1), read off the same weights
+    @pytest.mark.parametrize(
+        "ells_b", [(0, -1), (0, 1), (2, 3)], ids=["0_m1", "0_1", "2_3"]
+    )
+    def test_matrix_matches_single_amplitudes(self, ells_b):
         s = screen_for(1.0, 11)
-        state = SimpleNamespace(ells_b=(0, -1))
+        state = SimpleNamespace(ells_b=ells_b)
         t = effective_channel(state, s, W0)
         for k, ell_in in enumerate(state.ells_b):
             for j, ell_out in enumerate(state.ells_b):

@@ -465,6 +465,21 @@ class TestReport:
         assert "fundamental-mode survival vs strength" in stdout
         assert "output mode spectrum" in stdout
 
+    def test_json_calibration_reports_as_csv(self, tmp_path, capsys):
+        reports = []
+        for fmt in ("csv", "json"):
+            out = tmp_path / fmt
+            argv = [
+                "calibrate", "--omegas", "0.0,0.5", "--n-screens", "2",
+                "--grid-n", "128", "--seed", "9", "--format", fmt, "--out", str(out),
+            ]
+            assert run_cli(argv, capsys)[0] == 0
+            code, stdout, _ = run_cli(["report", "--results", str(out)], capsys)
+            assert code == 0
+            reports.append(stdout)
+        assert "fundamental-mode survival vs strength" in reports[1]
+        assert reports[1] == reports[0]
+
     def test_empty_directory_is_runtime_error(self, tmp_path, capsys):
         code, _, err = run_cli(["report", "--results", str(tmp_path)], capsys)
         assert code == 2

@@ -579,6 +579,9 @@ class TestCalibration:
             ({"window": 2.5}, "window must be an integer"),
             # this one returned empty tables
             ({"omegas": ()}, "at least one strength"),
+            # these two failed inside numpy at the first screen
+            ({"seed": 1.5}, "master seed must be a non-negative integer"),
+            ({"seed": -1}, "master seed must be a non-negative integer"),
         ],
     )
     def test_grid_and_levels_refused_before_any_screen(
@@ -593,6 +596,13 @@ class TestCalibration:
         with pytest.raises(ValueError, match=match):
             run_calibration(**args)
         assert drawn == []
+
+    def test_strengths_taken_once(self):
+        # a generator of strengths used to be spent before the loop
+        args = {"n_screens": 1, "seed": 50003, "grid_n": 128, "window": 0}
+        out = run_calibration((o for o in (0.5, 1.0)), **args)
+        assert out == run_calibration((0.5, 1.0), **args)
+        assert [row[0] for row in out["survival"]] == [0.5, 1.0]
 
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError, match="window"):

@@ -28,7 +28,12 @@ from skysim.states import (
     record_to_json,
     simulate_tomography,
 )
-from skysim.states import _PAIR_INDEX, _PROJECTOR_KETS, _PROJECTOR_LABELS
+from skysim.states import (
+    _PAIR_INDEX,
+    _PROJECTOR_KETS,
+    _PROJECTOR_LABELS,
+    _from_pauli_components,
+)
 from skysim.turbulence import TurbulenceSpec, generate_screen, omega_to_fried
 from skysim.witnesses import purity
 
@@ -327,6 +332,14 @@ class TestSimulateTomography:
 
 
 class TestReconstruction:
+    def test_real_components_give_an_exactly_hermitian_matrix(self):
+        # reconstruct_density relies on this and does not symmetrise
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            x = rng.uniform(-1.0, 1.0, 15)
+            rho = _from_pauli_components(np.concatenate([[1.0], x]).reshape(4, 4))
+            assert np.array_equal(rho, rho.conj().T)
+
     def test_noiseless_round_trip_all_catalog_states(self):
         for name, state in catalog().items():
             rec = simulate_tomography(state, state_id=name)

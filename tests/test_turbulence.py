@@ -38,6 +38,10 @@ class TestPsd:
     def test_infinite_r0_is_quiet(self):
         assert kolmogorov_psd(1.0, np.inf) == 0.0
 
+    def test_infinite_frequency_is_quiet(self):
+        # generate_screen gives the DC cell this frequency
+        assert kolmogorov_psd(np.inf, 0.01) == 0.0
+
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ValueError):
             kolmogorov_psd(0.0, 0.01)
