@@ -88,7 +88,9 @@ def effective_channel(state, screen: PhaseScreen | None, w0: float) -> np.ndarra
     over the pixels, read off cached mode weights as one real product
     with cos(phi) and sin(phi). For p = 0, LG_-ell = conj(LG_ell), so a
     pair and its mirror (-l0, -l1) share the weights of the smaller key,
-    with the sign of Im(u0* u1) flipped for the other.
+    with the sign of Im(u0* u1) flipped for the other. The cos/sin table
+    is the screen's own (`PhaseScreen.trig`), computed once per screen
+    and shared by every state sent through it.
     """
     if screen is None:
         return np.eye(2, dtype=complex)
@@ -98,12 +100,8 @@ def effective_channel(state, screen: PhaseScreen | None, w0: float) -> np.ndarra
     ells = tuple(state.ells_b)
     key = min(ells, tuple(-ell for ell in ells))
     weights = _pair_weights(key, w0, grid)
-    phase = screen.phase.ravel()
-    trig = np.empty((2, phase.size))
-    np.cos(phase, out=trig[0])
-    np.sin(phase, out=trig[1])
     # rows of m: |u0|^2, |u1|^2, Re and Im of u0* u1; columns: cos, sin
-    m = (weights @ trig.T) * grid.dx**2
+    m = (weights @ screen.trig.T) * grid.dx**2
     z00, z11, zre, zim = m[:, 0] + 1j * m[:, 1]
     if key != ells:
         zim = -zim

@@ -28,6 +28,7 @@ import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from numbers import Integral
 from pathlib import Path
 
@@ -323,7 +324,7 @@ def run(config: RunConfig, results_root) -> Path:
     cat = catalog()
     states = [cat[state_id] for state_id in config.states]
     targets = [DensityMatrix4.from_pure(state) for state in states]
-    discords = [discord(target) for target in targets]
+    discords = [_discord_reference(state_id) for state_id in config.states]
     incomplete: list[str] = []
     witness_rows: list[list[list]] = [[] for _ in states]
     summary_rows: list[list[list]] = [[] for _ in states]
@@ -373,6 +374,13 @@ def run(config: RunConfig, results_root) -> Path:
     )
     _write_manifest(run_dir, cfg_hash, incomplete)
     return run_dir
+
+
+@lru_cache(maxsize=None)
+def _discord_reference(state_id: str) -> float:
+    """Discord of a catalog state before any channel, the normaliser of
+    its witnesses; one value per state id of the ten-state catalog."""
+    return discord(DensityMatrix4.from_pure(catalog()[state_id]))
 
 
 def _draw_screen(

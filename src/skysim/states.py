@@ -23,7 +23,6 @@ a repair when that linear solution is not positive.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
 
@@ -183,12 +182,10 @@ def ensemble_average(rhos: list[DensityMatrix4]) -> DensityMatrix4:
 
 
 def screen_digest(screen: PhaseScreen | None) -> str:
-    """Content hash tying a tomography record to its channel realisation."""
-    if screen is None:
-        return ""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(screen.phase, dtype="<f8").tobytes())
-    return h.hexdigest()
+    """Content hash tying a tomography record to its channel realisation:
+    the SHA-256 of the phases (`PhaseScreen.digest`), computed once per
+    screen and shared by every state sent through it; "" for no screen."""
+    return "" if screen is None else screen.digest
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,13 +32,24 @@ and each subharmonic cell consumes one complex pair in row-major cell
 order, including the central cell whose draw is discarded. Keeping the
 discarded draw means a screen's random stream does not depend on which
 cells survive, which in turn keeps the r0 scaling law exact per seed.
+
+What depends on neither r0 nor the seed is computed once per grid and
+subharmonic depth and held for the last one (`_screen_terms`): the
+f**(-11/3) lattice, one n x n float64 array (2 MiB at 512^2), the cell
+weights, and E. Each screen scales them in the order a build from
+scratch would, so holding them moves no bit. No draw or transform
+buffer is held from one screen to the next. A PhaseScreen's phase is a
+read-only finite float64 array; its cos/sin table and its SHA-256
+digest are computed on first use and held with it, so every state sent
+through one screen shares them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -96,8 +107,13 @@ def kolmogorov_psd(f, r0: float):
         raise ValueError("kolmogorov_psd requires strictly positive frequencies")
     if not r0 > 0:
         raise ValueError(f"Fried parameter must be positive, got r0={r0}")
-    out = _PSD_COEFF * r0 ** (-5.0 / 3.0) * f ** (-11.0 / 3.0)
+    out = _PSD_COEFF * r0 ** (-5.0 / 3.0) * _spectral_power(f)
     return out if out.ndim else float(out)
+
+
+def _spectral_power(f) -> np.ndarray:
+    """f**(-11/3) as an array, the frequency part of kolmogorov_psd."""
+    return np.asarray(f, dtype=float) ** (-11.0 / 3.0)
 
 
 def _check_strength(omega: float) -> None:
@@ -138,29 +154,109 @@ class TurbulenceSpec:
         if not self.r0 > 0:
             raise ValueError(f"Fried parameter must be positive, got {self.r0}")
         _check_levels(self.n_subharmonics)
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     def statistics_key(self) -> tuple:
         """Identity of the generating distribution, seed excluded."""
         return (self.r0, self.grid.n, self.grid.dx, self.n_subharmonics)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PhaseScreen:
+    """One screen: its spec and its phase in radians, a read-only finite
+    float64 n x n array. Anything else is refused with ValueError. The
+    cos/sin table and the content digest are computed on first use and
+    held with the screen, so every state sent through it shares them."""
+
     spec: TurbulenceSpec
     phase: np.ndarray
 
     def __post_init__(self):
         n = self.spec.grid.n
-        if self.phase.shape != (n, n):
+        phase = self.phase
+        if not isinstance(phase, np.ndarray) or phase.dtype != np.float64:
             raise ValueError(
-                f"phase shape {self.phase.shape} does not match grid {n}x{n}"
+                f"phase must be a float64 array, got {getattr(phase, 'dtype', type(phase))}"
             )
+        if phase.shape != (n, n):
+            raise ValueError(
+                f"phase shape {phase.shape} does not match grid {n}x{n}"
+            )
+        # a view of a writeable array could still change under the held
+        # cos/sin table and digest
+        base = phase
+        while isinstance(base, np.ndarray):
+            if base.flags.writeable:
+                raise ValueError(
+                    "phase must be read-only, and not a view of a writeable array"
+                )
+            base = base.base
+        if not np.isfinite(phase).all():
+            raise ValueError("phase must be finite")
 
     @property
     def grid(self) -> Grid2D:
         return self.spec.grid
+
+    @cached_property
+    def trig(self) -> np.ndarray:
+        """Read-only 2 x n^2 table [cos(phase), sin(phase)] over the pixels
+        in row-major order; 4 MiB at 512^2."""
+        phase = self.phase.ravel()
+        trig = np.empty((2, phase.size))
+        np.cos(phase, out=trig[0])
+        np.sin(phase, out=trig[1])
+        trig.flags.writeable = False
+        return trig
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 hex digest of the phases as little-endian float64, row-major."""
+        return hashlib.sha256(np.ascontiguousarray(self.phase, dtype="<f8")).hexdigest()
+
+
+@lru_cache(maxsize=1)
+def _screen_terms(n: int, dx: float, levels: int) -> tuple:
+    """The parts of a screen that depend on neither r0 nor the seed.
+
+    For one grid and subharmonic depth: the read-only power f**(-11/3)
+    over the FFT lattice (the DC cell at an infinite frequency, so with
+    no power); the lattice indices and root weights of the low cells;
+    f**(-11/3), dfm**2 and the weight of each subharmonic cell but the
+    central ones, with its index in the draw and its place in C; and
+    the read-only exponentials E. Only the last key is held: at 512^2
+    that is one n x n float64 array (2 MiB) and an n x 3L complex one.
+    """
+    df = 1.0 / (n * dx)
+    f = np.fft.fftfreq(n, 1.0 / n).astype(int) * df
+    F = np.hypot(f, f[:, None])
+    F[0, 0] = np.inf  # the DC cell carries no power
+    power = _spectral_power(F)
+    power.flags.writeable = False
+    radius = range(-_WEIGHT_RADIUS, _WEIGHT_RADIUS + 1)
+    low = [(b % n, a % n, np.sqrt(_base_weight(a, b)))
+           for a in radius for b in radius if (a, b) != (0, 0)]
+    low_rows, low_cols, low_roots = (np.array(v) for v in zip(*low))
+    # One column per subharmonic cell but the central ones, in draw
+    # order: its draw index, row (y frequency j*dfm) and column (x
+    # frequency i*dfm) in C, and its f**(-11/3), dfm**2 and weight.
+    place, factors = [], []
+    for m in range(1, levels + 1):
+        dfm = df / 3.0**m
+        for i in (-1, 0, 1):
+            for j in (-1, 0, 1):
+                if (i, j) != (0, 0):
+                    place.append((9 * (m - 1) + 3 * (i + 1) + j + 1,
+                                  3 * m - 2 + j, 3 * m - 2 + i))
+                    factors.append((float(_spectral_power(np.hypot(i * dfm, j * dfm))),
+                                    dfm**2, _subharmonic_weight(i, j)))
+    place = np.array(place, dtype=int).reshape(-1, 3).T
+    factors = np.array(factors, dtype=float).reshape(-1, 3).T
+    freqs = np.outer(df / 3.0 ** np.arange(1, levels + 1), (-1, 0, 1)).ravel()
+    waves = np.exp(2j * np.pi * np.outer(Grid2D(n=n, dx=dx).coords(), freqs))
+    waves.flags.writeable = False
+    return power, (low_rows, low_cols, low_roots), place, factors, waves
 
 
 def generate_screen(spec: TurbulenceSpec) -> PhaseScreen:
@@ -169,7 +265,10 @@ def generate_screen(spec: TurbulenceSpec) -> PhaseScreen:
     The FFT screen is completed by the subharmonic patches, summed as
     one separable matrix product over all levels; the random draws are
     consumed in the documented order (FFT block, then one complex pair
-    per patch cell, level by level, central cells included).
+    per patch cell, level by level, central cells included). What does
+    not depend on r0 or the seed comes from `_screen_terms`, held for
+    the last grid; each screen scales it in the order a fresh build
+    would, so the screen is the same bit for bit.
 
     Raises SamplingError when the grid cannot resolve r0 (r0 < 2*dx);
     such a screen would alias most of its power.
@@ -180,48 +279,49 @@ def generate_screen(spec: TurbulenceSpec) -> PhaseScreen:
             f"r0={r0:g} m is below two pixels ({2 * dx:g} m); "
             "the grid cannot resolve this turbulence strength"
         )
+    levels = spec.n_subharmonics
+    power, (low_rows, low_cols, low_roots), place, factors, waves = _screen_terms(
+        n, dx, levels
+    )
     rng = np.random.default_rng(spec.seed)
     df = 1.0 / (n * dx)
+    scale = _PSD_COEFF * r0 ** (-5.0 / 3.0)
 
-    f = np.fft.fftfreq(n, 1.0 / n).astype(int) * df
-    F = np.hypot(f, f[:, None])
-    F[0, 0] = np.inf  # the DC cell carries no power
-    amp = np.sqrt(kolmogorov_psd(F, r0)) * df
-    for a in range(-_WEIGHT_RADIUS, _WEIGHT_RADIUS + 1):
-        for b in range(-_WEIGHT_RADIUS, _WEIGHT_RADIUS + 1):
-            if (a, b) != (0, 0):
-                amp[b % n, a % n] *= np.sqrt(_base_weight(a, b))
-
-    # filled in place, so the draw holds one complex n x n array, not three
+    # One real n x n array takes each block of normals in turn, then the
+    # amplitude spectrum; the inverse transform's output then takes the
+    # two subharmonic products. No buffer outlives the screen. The phase
+    # is allocated after the transform: allocated first, it sat lower in
+    # the heap, and calibration's mode temporaries then faulted in about
+    # half again as many pages per round.
+    real = np.empty((n, n))
     gauss = np.empty((n, n), dtype=complex)
-    gauss.real = rng.standard_normal((n, n))
-    gauss.imag = rng.standard_normal((n, n))
+    gauss.real = rng.standard_normal(out=real)
+    gauss.imag = rng.standard_normal(out=real)
+    amp = np.multiply(scale, power, out=real)
+    np.sqrt(amp, out=amp)
+    amp *= df
+    amp[low_rows, low_cols] *= low_roots
     gauss *= amp
-    screen = np.fft.ifft2(gauss).real * n * n
+    spectrum = np.fft.ifft2(gauss)
+    screen = spectrum.real * n
+    screen *= n
 
-    levels = spec.n_subharmonics
+    # one complex pair per cell, central cells included (module docstring)
+    pairs = rng.standard_normal(18 * levels)
+    draw, rows, cols = place
+    fpow, area, weight = factors
+    g = pairs[0::2] + 1j * pairs[1::2]
     coeff = np.zeros((3 * levels, 3 * levels), dtype=complex)
-    for m in range(1, levels + 1):
-        dfm = df / 3.0**m
-        for i in (-1, 0, 1):
-            for j in (-1, 0, 1):
-                g = rng.standard_normal() + 1j * rng.standard_normal()
-                if i == 0 and j == 0:
-                    continue  # the draw is consumed regardless, see module docstring
-                a2 = (
-                    kolmogorov_psd(np.hypot(i * dfm, j * dfm), r0)
-                    * dfm**2
-                    * _subharmonic_weight(i, j)
-                )
-                # row: y frequency j*dfm; column: x frequency i*dfm
-                coeff[3 * m - 2 + j, 3 * m - 2 + i] = np.sqrt(a2) * g
-
-    freqs = np.outer(df / 3.0 ** np.arange(1, levels + 1), (-1, 0, 1)).ravel()
-    waves = np.exp(2j * np.pi * np.outer(spec.grid.coords(), freqs))
+    coeff[rows, cols] = np.sqrt(scale * fpow * area * weight) * g[draw]
     a = waves @ coeff
-    screen += a.real @ waves.real.T - a.imag @ waves.imag.T
+    cos_part, sin_part = spectrum.view(float).reshape(2, n, n)
+    np.matmul(a.real, waves.real.T, out=cos_part)
+    np.matmul(a.imag, waves.imag.T, out=sin_part)
+    cos_part -= sin_part
+    screen += cos_part
 
     screen -= screen.mean()
+    screen.flags.writeable = False
     return PhaseScreen(spec=spec, phase=screen)
 
 
@@ -311,5 +411,7 @@ def read_screen(path) -> PhaseScreen:
     spec = TurbulenceSpec(
         r0=r0, grid=Grid2D(n=n, dx=dx), seed=seed, n_subharmonics=n_sub
     )
-    phase = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
+    # read-only: the array is a view of the bytes read
+    phase = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False).reshape(n, n)
+    phase.flags.writeable = False
     return PhaseScreen(spec=spec, phase=phase)

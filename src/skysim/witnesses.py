@@ -122,27 +122,31 @@ def _qubit_entropy(x):
     return -terms.sum(axis=0)
 
 
-def _objective_batch(rho4, theta, phi, entropy_a):
-    """Classical correlation J(theta, phi) over flat angle arrays.
+def _objective(r, theta, phi, entropy_a):
+    """Classical correlation J(theta, phi) over flat angle arrays, from the
+    Pauli components r of rho; both outcomes +-n as one stacked array.
 
     n = (sin theta cos phi, sin theta sin phi, cos theta) is the axis of
     the measurement on B; see the module docstring for the formula.
     """
-    r = pauli_components(rho4)
     a, b, corr = r[1:, 0], r[0, 1:], r[1:, 1:]
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     st = np.sin(theta)
     n = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
     bn, tn = n @ b, n @ corr.T
-    cond = 0.0
-    for sign in (1.0, -1.0):
-        p = (r[0, 0] + sign * bn) / 2
-        length = np.linalg.norm(a + sign * tn, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(p > 1e-15, length / (2 * p), 0.0)
-        cond = cond + p * _qubit_entropy(x)
-    return entropy_a - cond
+    sign = np.array([1.0, -1.0])[:, None]
+    p = (r[0, 0] + sign * bn) / 2
+    length = np.linalg.norm(a + sign[..., None] * tn, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(p > 1e-15, length / (2 * p), 0.0)
+    cond = p * _qubit_entropy(x)
+    return entropy_a - (cond[0] + cond[1])
+
+
+def _objective_batch(rho4, theta, phi, entropy_a):
+    """_objective of the density matrix rho4."""
+    return _objective(pauli_components(rho4), theta, phi, entropy_a)
 
 
 def classical_correlation(rho, return_diagnostics: bool = False):
@@ -158,7 +162,7 @@ def classical_correlation(rho, return_diagnostics: bool = False):
     under rounding-level changes of rho.
     """
     dm = rho if isinstance(rho, DensityMatrix4) else DensityMatrix4(_as_matrix(rho))
-    rho4 = dm.matrix
+    r = pauli_components(dm.matrix)
     entropy_a = von_neumann_entropy(partial_trace(dm, "A"))
 
     n_t, n_p = _GRID_SHAPE
@@ -167,7 +171,7 @@ def classical_correlation(rho, return_diagnostics: bool = False):
         (np.arange(n_t) + 0.5) * d_theta, (np.arange(n_p) + 0.5) * d_phi, indexing="ij"
     )
     theta, phi = tt.ravel(), pp.ravel()
-    vals = _objective_batch(rho4, theta, phi, entropy_a)
+    vals = _objective(r, theta, phi, entropy_a)
     grid_max = float(vals.max())
 
     off_t, off_p = np.meshgrid(_ZOOM_OFFSETS, _ZOOM_OFFSETS, indexing="ij")
@@ -177,7 +181,7 @@ def classical_correlation(rho, return_diagnostics: bool = False):
         d_theta, d_phi = d_theta / 3, d_phi / 3
         theta = (theta[best, None] + off_t * d_theta).ravel()
         phi = (phi[best, None] + off_p * d_phi).ravel()
-        vals = _objective_batch(rho4, theta, phi, entropy_a)
+        vals = _objective(r, theta, phi, entropy_a)
     # the zero offset re-evaluates each kept point, so the last level
     # holds the best value seen
     best_val = float(vals.max())

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,9 @@ from skysim.experiments import (
     run_ensemble,
     run_static,
 )
-from skysim.states import catalog
+from skysim.states import DensityMatrix4, catalog
 from skysim.topology import DegenerateFieldError
+from skysim.turbulence import PhaseScreen
 import skysim.experiments as experiments
 
 SMALL = RunConfig(
@@ -438,6 +440,41 @@ class TestSharedScreens:
                 assert {p["seed"] for p in provenance} == {
                     derive_seed(51, 0, omega_idx, k)
                 }
+
+    @pytest.mark.parametrize("mode", ["static", "ensemble"])
+    def test_trig_and_digest_once_per_screen(self, tmp_path, monkeypatch, mode):
+        # both states read the cos/sin table and the digest of each screen
+        uses = {name: [] for name in ("trig", "digest")}
+        for name, calls in uses.items():
+            compute = vars(PhaseScreen)[name].func
+
+            def counted(screen, compute=compute, calls=calls):
+                calls.append(screen.spec.seed)
+                return compute(screen)
+
+            held = cached_property(counted)
+            held.__set_name__(PhaseScreen, name)
+            monkeypatch.setattr(PhaseScreen, name, held)
+        run(replace(self.CONFIG, mode=mode), tmp_path)
+        seeds = [derive_seed(51, 0, i, k) for i in range(3) for k in range(2)]
+        assert uses == {"trig": seeds, "digest": seeds}
+
+    def test_discord_reference_once_per_state(self, tmp_path, monkeypatch):
+        calls = []
+        original = experiments.discord
+
+        def counted(rho):
+            calls.append(rho)
+            return original(rho)
+
+        experiments._discord_reference.cache_clear()
+        monkeypatch.setattr(experiments, "discord", counted)
+        run_static(self.CONFIG, tmp_path / "a")
+        run_static(replace(self.CONFIG, master_seed=52), tmp_path / "b")
+        assert len(calls) == len(self.CONFIG.states)
+        for state_id in self.CONFIG.states:
+            target = DensityMatrix4.from_pure(catalog()[state_id])
+            assert experiments._discord_reference(state_id) == original(target)
 
     def test_table_rows_by_state_then_strength(self, tmp_path):
         run_dir = run_static(self.CONFIG, tmp_path)

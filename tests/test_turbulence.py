@@ -1,5 +1,9 @@
 """Spectrum arithmetic, screen statistics, and the structure-function law."""
 
+import hashlib
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from skysim.turbulence import (
     PhaseScreen,
     TurbulenceSpec,
     _base_weight,
+    _screen_terms,
     _subharmonic_weight,
     generate_screen,
     kolmogorov_psd,
@@ -119,6 +124,10 @@ class TestGenerateScreen:
             TurbulenceSpec(r0=1.0, grid=grid, seed=0, n_subharmonics=9)
         with pytest.raises(ValueError):
             TurbulenceSpec(r0=1.0, grid=grid, seed=-1)
+        # was accepted, then failed in generate_screen with a TypeError
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            TurbulenceSpec(r0=1.0, grid=grid, seed=1.5)
+        assert TurbulenceSpec(r0=1.0, grid=grid, seed=np.int64(3)).seed == 3
 
     def test_levels_must_be_integers(self):
         grid = Grid2D(n=128, dx=1.0)
@@ -187,6 +196,144 @@ class TestSeparableSubharmonics:
             else:
                 scale = np.abs(want).max()
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+def fresh_screen(spec):
+    """Reference generator: generate_screen as it was before the parts
+    that depend on neither r0 nor the seed were held per grid."""
+    n, dx, r0 = spec.grid.n, spec.grid.dx, spec.r0
+    rng = np.random.default_rng(spec.seed)
+    df = 1.0 / (n * dx)
+
+    f = np.fft.fftfreq(n, 1.0 / n).astype(int) * df
+    F = np.hypot(f, f[:, None])
+    F[0, 0] = np.inf
+    amp = np.sqrt(kolmogorov_psd(F, r0)) * df
+    for a in range(-_WEIGHT_RADIUS, _WEIGHT_RADIUS + 1):
+        for b in range(-_WEIGHT_RADIUS, _WEIGHT_RADIUS + 1):
+            if (a, b) != (0, 0):
+                amp[b % n, a % n] *= np.sqrt(_base_weight(a, b))
+
+    gauss = np.empty((n, n), dtype=complex)
+    gauss.real = rng.standard_normal((n, n))
+    gauss.imag = rng.standard_normal((n, n))
+    gauss *= amp
+    screen = np.fft.ifft2(gauss).real * n * n
+
+    levels = spec.n_subharmonics
+    coeff = np.zeros((3 * levels, 3 * levels), dtype=complex)
+    for m in range(1, levels + 1):
+        dfm = df / 3.0**m
+        for i in (-1, 0, 1):
+            for j in (-1, 0, 1):
+                g = rng.standard_normal() + 1j * rng.standard_normal()
+                if i == 0 and j == 0:
+                    continue
+                a2 = (
+                    kolmogorov_psd(np.hypot(i * dfm, j * dfm), r0)
+                    * dfm**2
+                    * _subharmonic_weight(i, j)
+                )
+                coeff[3 * m - 2 + j, 3 * m - 2 + i] = np.sqrt(a2) * g
+
+    freqs = np.outer(df / 3.0 ** np.arange(1, levels + 1), (-1, 0, 1)).ravel()
+    waves = np.exp(2j * np.pi * np.outer(spec.grid.coords(), freqs))
+    a = waves @ coeff
+    screen += a.real @ waves.real.T - a.imag @ waves.imag.T
+    screen -= screen.mean()
+    return screen
+
+
+class TestHeldScreenTerms:
+    """The held parts of a screen against a build from scratch."""
+
+    def test_bit_identical_to_fresh_build(self):
+        # Every screen changes the grid or the depth, so the one-key
+        # cache is rebuilt each time; more seeds on the last key reuse it.
+        _screen_terms.cache_clear()
+        grids = [Grid2D(n=64, dx=1.0), Grid2D(n=256, dx=2e-5), Grid2D(n=128, dx=1.0),
+                 Grid2D(n=64, dx=3e-5)]
+        specs = [
+            TurbulenceSpec(r0=r0_px * grid.dx, grid=grid, seed=seed, n_subharmonics=levels)
+            for seed, (r0_px, levels, grid) in enumerate(
+                itertools.product((2.5, 7.0, 40.0), (0, 5), grids)
+            )
+        ]
+        specs += [replace(specs[-1], seed=seed) for seed in (100, 101, 102)]
+        for spec in specs:
+            got = generate_screen(spec).phase
+            assert got.tobytes() == fresh_screen(spec).tobytes(), spec
+        assert _screen_terms.cache_info().misses == len(specs) - 3
+
+    def test_held_arrays_read_only(self):
+        power, _, _, _, waves = _screen_terms(64, 1.0, 5)
+        assert power.shape == (64, 64) and waves.shape == (64, 15)
+        assert not power.flags.writeable and not waves.flags.writeable
+        assert power[0, 0] == 0.0  # the DC cell at an infinite frequency
+
+    def test_one_normal_block_draws_like_scalar_calls(self):
+        # the subharmonic pairs are drawn as one block
+        for seed in (0, 1, 20260):
+            block = np.random.default_rng(seed).standard_normal(90)
+            rng = np.random.default_rng(seed)
+            scalars = np.array([rng.standard_normal() for _ in range(90)])
+            assert block.tobytes() == scalars.tobytes()
+
+
+class TestPhaseScreen:
+    def spec(self, n=16):
+        return TurbulenceSpec(r0=4.0, grid=Grid2D(n=n, dx=1.0), seed=0)
+
+    def read_only(self, phase):
+        phase = np.array(phase)
+        phase.flags.writeable = False
+        return phase
+
+    @pytest.mark.parametrize(
+        "phase, match",
+        [
+            (np.full((16, 16), 1j), "float64"),
+            (np.zeros((16, 16), dtype=np.int64), "float64"),
+            (np.zeros((16, 16), dtype=np.float32), "float64"),
+            (np.zeros((8, 8)), "shape"),
+            (np.full((16, 16), np.nan), "finite"),
+            (np.full((16, 16), np.inf), "finite"),
+        ],
+    )
+    def test_bad_phase_refused(self, phase, match):
+        # complex, NaN and integer phases used to be accepted; a complex
+        # phase made the channel non-unitary without any error
+        with pytest.raises(ValueError, match=match):
+            PhaseScreen(spec=self.spec(), phase=self.read_only(phase))
+
+    def test_writeable_phase_refused(self):
+        with pytest.raises(ValueError, match="read-only"):
+            PhaseScreen(spec=self.spec(), phase=np.zeros((16, 16)))
+        writeable = np.zeros((16, 16))
+        view = writeable[:]
+        view.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            PhaseScreen(spec=self.spec(), phase=view)
+        with pytest.raises(ValueError, match="float64"):
+            PhaseScreen(spec=self.spec(), phase=[[0.0] * 16] * 16)
+
+    def test_screens_are_read_only(self, tmp_path):
+        s = generate_screen(spec128(4))
+        assert not s.phase.flags.writeable
+        path = tmp_path / "screen.skyp"
+        write_screen(s, path)
+        assert not read_screen(path).phase.flags.writeable
+        with pytest.raises(ValueError):
+            s.phase[0, 0] = 1.0
+
+    def test_trig_and_digest_held(self):
+        s = generate_screen(spec128(9))
+        trig = s.trig
+        assert trig is s.trig and not trig.flags.writeable
+        np.testing.assert_array_equal(trig[0], np.cos(s.phase).ravel())
+        np.testing.assert_array_equal(trig[1], np.sin(s.phase).ravel())
+        want = hashlib.sha256(s.phase.astype("<f8").tobytes()).hexdigest()
+        assert s.digest == want
 
 
 class TestStructureFunction:

@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import skysim
-from skysim.states import DensityMatrix4, make_state, partial_trace
+import skysim.witnesses
+from skysim.states import DensityMatrix4, make_state, partial_trace, pauli_components
 from skysim.witnesses import (
     WitnessReport,
     _objective_batch,
+    _qubit_entropy,
     classical_correlation,
     concurrence,
     discord,
@@ -282,6 +283,49 @@ class TestObjectiveAgainstKets:
         self.check(DensityMatrix4(zero_zero), np.array([0.0, np.pi]), np.zeros(2))
         for rho in (DensityMatrix4(zero_zero), MIXED, werner(0.6)):
             self.check(rho, *self.angles(7))
+
+
+def unstacked_objective(rho4, theta, phi, entropy_a):
+    """Reference: _objective_batch as it was, one pass per outcome +-n
+    and the Pauli components taken on every call."""
+    r = pauli_components(rho4)
+    a, b, corr = r[1:, 0], r[0, 1:], r[1:, 1:]
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    st = np.sin(theta)
+    n = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    bn, tn = n @ b, n @ corr.T
+    cond = 0.0
+    for sign in (1.0, -1.0):
+        p = (r[0, 0] + sign * bn) / 2
+        length = np.linalg.norm(a + sign * tn, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(p > 1e-15, length / (2 * p), 0.0)
+        cond = cond + p * _qubit_entropy(x)
+    return entropy_a - cond
+
+
+class TestStackedObjective:
+    def test_bit_identical_to_unstacked(self):
+        for seed in range(40):
+            rho = random_density(seed + 500, rank=(1, 2, 3, 4)[seed % 4])
+            theta, phi = TestObjectiveAgainstKets().angles(seed, size=1024)
+            entropy_a = von_neumann_entropy(partial_trace(rho, "A"))
+            got = _objective_batch(rho.matrix, theta, phi, entropy_a)
+            want = unstacked_objective(rho.matrix, theta, phi, entropy_a)
+            assert got.tobytes() == want.tobytes(), seed
+
+    def test_pauli_components_once_per_search(self, monkeypatch):
+        calls = []
+        original = skysim.witnesses.pauli_components
+
+        def counted(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(skysim.witnesses, "pauli_components", counted)
+        classical_correlation(random_density(3))
+        assert len(calls) == 1
 
 
 class TestSearchAgainstSlsqp:
