@@ -117,6 +117,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.threads is not None:
+        if args.threads < 1:
+            parser.error(f"--threads: need at least 1 thread, got {args.threads}")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     if _ENV_SEED in os.environ and hasattr(args, "seed"):

@@ -369,6 +369,27 @@ class TestTopologyCommand:
         assert doc["number"] == pytest.approx(2.0, abs=0.05)
 
 
+class TestThreads:
+    VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def test_caps_every_pool(self, monkeypatch, capsys):
+        for var in self.VARIABLES:
+            monkeypatch.setenv(var, "7")
+        code, _, _ = run_cli(["--threads", "2", "topology", "--state", "0_1"], capsys)
+        assert code == 0
+        assert [os.environ[var] for var in self.VARIABLES] == ["2", "2", "2"]
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_below_one_is_usage_error(self, value, monkeypatch, capsys):
+        for var in self.VARIABLES:
+            monkeypatch.setenv(var, "7")
+        with pytest.raises(SystemExit) as err:
+            main(["--threads", value, "topology", "--state", "0_1"])
+        assert err.value.code == 1
+        assert "--threads" in capsys.readouterr().err
+        assert [os.environ[var] for var in self.VARIABLES] == ["7", "7", "7"]
+
+
 class TestWitnessCommand:
     def test_bell_witnesses(self, tmp_path, capsys):
         from skysim.states import DensityMatrix4, density_to_json, make_state

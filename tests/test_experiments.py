@@ -72,6 +72,8 @@ class TestRunConfig:
         "fields, match",
         [
             ({"grid_n": 15}, "grid size"),
+            # this one raised ZeroDivisionError
+            ({"grid_n": 0}, "grid size"),
             ({"w0": -1.0}, "w0"),
             # a negative waist and extent factor give a positive extent
             ({"w0": -1.0, "extent_factor": -16.0}, "w0"),
@@ -608,6 +610,8 @@ class TestCalibration:
         "fields, match",
         [
             ({"grid_n": 128.0}, "grid size"),
+            # this one raised ZeroDivisionError
+            ({"grid_n": 0}, "grid size"),
             ({"w0": float("inf")}, "pixel pitch"),
             ({"extent_factor": float("inf")}, "pixel pitch"),
             ({"n_subharmonics": 2.5}, "n_subharmonics"),

@@ -1,5 +1,7 @@
 """Grid arithmetic, LG mode sampling, and azimuthal spectra."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -41,8 +43,10 @@ class TestGrid:
             Grid2D(n=255, dx=1e-5)
 
     def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            make_grid(8, 0.01)
+        # n = 0 raised ZeroDivisionError: make_grid divided by n first
+        for n in (8, 0):
+            with pytest.raises(ValueError, match="grid size"):
+                make_grid(n, 0.01)
 
     def test_bad_extent_rejected(self):
         with pytest.raises(ValueError):
@@ -70,7 +74,44 @@ class TestGrid:
             LGMode(ell=0, w0=w0)
 
 
+def closed_form_field(mode, grid):
+    """Reference sampler: lg_field as it was when each mode was built from
+    polar coordinates and the analytic p = 0 normalization."""
+    c = grid.coords()
+    X, Y = np.meshgrid(c, c, indexing="xy")
+    r = np.hypot(X, Y)
+    phi = np.arctan2(Y, X)
+    a = abs(mode.ell)
+    radial = (
+        (1.0 / mode.w0)
+        * np.sqrt(2.0 / (np.pi * factorial(a)))
+        * (np.sqrt(2.0) * r / mode.w0) ** a
+        * np.exp(-((r / mode.w0) ** 2))
+    )
+    amplitude = radial * np.exp(1j * mode.ell * phi)
+    return amplitude / np.sqrt(np.sum(np.abs(amplitude) ** 2) * grid.dx**2)
+
+
 class TestLGField:
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_matches_closed_form(self, n):
+        g = workhorse_grid(n)
+        for ell in range(-10, 11):
+            mode = LGMode(ell=ell, w0=W0)
+            expected = closed_form_field(mode, g)
+            error = np.max(np.abs(lg_field(mode, g).amplitude - expected))
+            assert error <= 1e-14 * np.max(np.abs(expected)), ell
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_mirror_modes_exact_conjugates(self, n):
+        # effective_channel shares one weight array between a pair and its
+        # mirror on the strength of this relation
+        g = workhorse_grid(n)
+        for ell in range(1, 11):
+            plus = lg_field(LGMode(ell=ell, w0=W0), g).amplitude
+            minus = lg_field(LGMode(ell=-ell, w0=W0), g).amplitude
+            assert np.array_equal(minus.view(float), np.conj(plus).view(float)), ell
+
     @pytest.mark.parametrize("ell", [0, 1, -1, 2, 3, -3, 5])
     def test_unit_power(self, ell):
         f = lg_field(LGMode(ell=ell, w0=W0), workhorse_grid())
@@ -177,7 +218,7 @@ class TestOamSpectrum:
         # power even for fields that are not p = 0 superpositions
         g = workhorse_grid(128)
         f0 = lg_field(LGMode(ell=0, w0=W0), g)
-        X, Y = g.meshgrid()
+        X, Y = np.meshgrid(g.coords(), g.coords())
         warped = ComplexField(g, f0.amplitude * np.exp(1j * 5000.0 * (X + Y)))
         spec = azimuthal_spectrum(warped, (-40, 40))
         assert spec.total == pytest.approx(1.0, abs=5e-3)

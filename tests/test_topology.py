@@ -74,7 +74,7 @@ def bloch_field(rho_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def aperture_mask(grid, state, w0: float) -> np.ndarray:
     """Disk covering both branch modes out to three effective radii."""
-    x, y = grid.meshgrid()
+    x, y = np.meshgrid(grid.coords(), grid.coords())
     ell_max = max(abs(state.ell_a1), abs(state.ell_a2))
     radius = 3 * w0 * np.sqrt(ell_max + 1)
     return np.hypot(x, y) <= radius
