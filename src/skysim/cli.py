@@ -311,12 +311,11 @@ def _cmd_witness(args, parser) -> int:
     from dataclasses import asdict
 
     from skysim.states import DensityMatrix4
-    from skysim.witnesses import discord, evaluate_witnesses
+    from skysim.witnesses import evaluate_witnesses
 
     state = _load_catalog_state(args.state, parser)
     rho = _load_density(args.density)
-    target = DensityMatrix4.from_pure(state)
-    report = evaluate_witnesses(rho, target, discord_reference=discord(target))
+    report = evaluate_witnesses(rho, DensityMatrix4.from_pure(state))
     doc = {"state": args.state, **asdict(report)}
     del doc["diagnostics"]
     _emit(doc, args.format, args.out)

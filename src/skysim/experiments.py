@@ -28,14 +28,15 @@ import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-# perfbench/tracing.py patches effective_channel here; nothing in this module calls it.
+# perfbench/tracing.py patches effective_channel and discord here; nothing in
+# this module calls either.
 from skysim.channel import CountModel, effective_channel  # noqa: F401
+from skysim.witnesses import discord  # noqa: F401
 from skysim.modes import Grid2D, LGMode, _check_resolution, make_grid
 from skysim.states import (
     BipartitePureState,
@@ -55,7 +56,7 @@ from skysim.turbulence import (
     generate_screen,
     omega_to_fried,
 )
-from skysim.witnesses import discord, evaluate_witnesses
+from skysim.witnesses import evaluate_witnesses
 from skysim.topology import DegenerateFieldError, skyrmion_number
 
 __all__ = [
@@ -148,8 +149,14 @@ def _check_master_seed(seed) -> None:
         raise ValueError(f"master seed must be a non-negative integer, got {seed}")
 
 
+def _plain(value):
+    """A numpy scalar as the Python number it equals. Numpy integers pass
+    the Integral checks, but json refuses them."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def config_to_json(config: RunConfig) -> dict:
-    doc = asdict(config)
+    doc = asdict(config, dict_factory=lambda items: {k: _plain(v) for k, v in items})
     doc["states"] = list(config.states)
     doc["omegas"] = [float(o) for o in config.omegas]
     return doc
@@ -226,7 +233,6 @@ def _evaluate(
     rho: DensityMatrix4,
     state: BipartitePureState,
     target: DensityMatrix4,
-    discord_ref: float,
 ) -> dict:
     """head and body with the witnesses, then the wrapping number, of rho.
 
@@ -234,7 +240,7 @@ def _evaluate(
     first, are kept. Any other failure makes head an error document.
     """
     try:
-        report = evaluate_witnesses(rho, target, discord_reference=discord_ref)
+        report = evaluate_witnesses(rho, target)
         try:
             number, details = skyrmion_number(rho, state, return_details=True)
         except DegenerateFieldError as exc:
@@ -324,7 +330,6 @@ def run(config: RunConfig, results_root) -> Path:
     cat = catalog()
     states = [cat[state_id] for state_id in config.states]
     targets = [DensityMatrix4.from_pure(state) for state in states]
-    discords = [_discord_reference(state_id) for state_id in config.states]
     incomplete: list[str] = []
     witness_rows: list[list[list]] = [[] for _ in states]
     summary_rows: list[list[list]] = [[] for _ in states]
@@ -340,7 +345,7 @@ def run(config: RunConfig, results_root) -> Path:
                 if rho is not None and not ensemble:
                     head = {"state": doc["state"], "omega": omega, "realisation": k}
                     body = {**doc, "renormalization": renormalization}
-                    doc = _evaluate(head, body, rho, states[i], targets[i], discords[i])
+                    doc = _evaluate(head, body, rho, states[i], targets[i])
                 _write_json(omega_dirs[i] / f"realisation-{k}.json", doc)
                 if "incomplete" in doc:
                     incomplete.append(f"{doc['state']}/{_omega_dirname(omega)}/{k}")
@@ -353,7 +358,7 @@ def run(config: RunConfig, results_root) -> Path:
                 seeds = [d["record"]["provenance"]["seed"] for d, _ in done]
                 head = dict(state=state_id, omega=omega, n=len(done), seeds=seeds)
                 body = {"density": density_to_json(rho)}
-                doc = _evaluate(head, body, rho, states[i], targets[i], discords[i])
+                doc = _evaluate(head, body, rho, states[i], targets[i])
                 if "incomplete" in doc:
                     incomplete.append(f"{state_id}/{_omega_dirname(omega)}/ensemble")
                     evaluated = []
@@ -374,13 +379,6 @@ def run(config: RunConfig, results_root) -> Path:
     )
     _write_manifest(run_dir, cfg_hash, incomplete)
     return run_dir
-
-
-@lru_cache(maxsize=None)
-def _discord_reference(state_id: str) -> float:
-    """Discord of a catalog state before any channel, the normaliser of
-    its witnesses; one value per state id of the ten-state catalog."""
-    return discord(DensityMatrix4.from_pure(catalog()[state_id]))
 
 
 def _draw_screen(
@@ -484,7 +482,7 @@ def run_calibration(
     """
     from skysim.channel import crosstalk_amplitude, survival_probability_analytic
 
-    omegas = tuple(omegas)
+    omegas = tuple(_plain(omega) for omega in omegas)
     if not isinstance(n_screens, Integral) or n_screens < 1:
         raise ValueError(
             f"need at least one screen per strength, as an integer, got {n_screens}"
@@ -524,4 +522,6 @@ def run_calibration(
                 survival_probability_analytic(omega),
             ]
         )
-    return {"spectra": spectra_rows, "survival": survival_rows, "window": window}
+    return {
+        "spectra": spectra_rows, "survival": survival_rows, "window": _plain(window)
+    }

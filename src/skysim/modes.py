@@ -91,11 +91,6 @@ class ComplexField:
                 f"grid {self.grid.n}x{self.grid.n}"
             )
 
-    @property
-    def power(self) -> float:
-        """Total power by Riemann sum, 1.0 for a normalized field."""
-        return float(np.sum(np.abs(self.amplitude) ** 2) * self.grid.dx**2)
-
 
 @dataclass
 class OamSpectrum:

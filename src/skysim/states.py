@@ -46,7 +46,6 @@ __all__ = [
     "record_from_json",
     "density_to_json",
     "density_from_json",
-    "screen_digest",
 ]
 
 _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -181,13 +180,6 @@ def ensemble_average(rhos: list[DensityMatrix4]) -> DensityMatrix4:
     return DensityMatrix4(np.mean([r.matrix for r in rhos], axis=0))
 
 
-def screen_digest(screen: PhaseScreen | None) -> str:
-    """Content hash tying a tomography record to its channel realisation:
-    the SHA-256 of the phases (`PhaseScreen.digest`), computed once per
-    screen and shared by every state sent through it; "" for no screen."""
-    return "" if screen is None else screen.digest
-
-
 @dataclass(frozen=True, eq=False)
 class TomographyRecord:
     """The 36 measured values, probabilities or Poisson counts, in
@@ -253,14 +245,15 @@ def simulate_tomography(
     A single screen is shared across every setting, mirroring a quasi-
     static channel during one tomography pass. With a CountModel the
     entries become Poisson coincidence counts including accidentals;
-    otherwise they are exact probabilities.
+    otherwise they are exact probabilities. The provenance's screen_hash
+    is the screen's SHA-256 digest, "" without a screen.
     """
     probs = projective_probability(state, effective_channel(state, screen, w0))
     provenance = {
         "state_id": state_id,
         "omega": float(omega),
         "seed": int(screen.spec.seed if screen is not None else seed),
-        "screen_hash": screen_digest(screen),
+        "screen_hash": "" if screen is None else screen.digest,
     }
     if count_model is None:
         return TomographyRecord(probs, provenance)

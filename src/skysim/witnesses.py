@@ -216,38 +216,22 @@ class WitnessReport:
     mutual_information: float
     classical_correlation: float
     discord: float
-    discord_normalized: float
     diagnostics: dict = field(default_factory=dict)
 
 
-def evaluate_witnesses(
-    rho, target, discord_reference: float | None = None
-) -> WitnessReport:
-    """Score a state against its ideal target.
-
-    discord_reference is the discord of the corresponding unperturbed
-    state; when it is degenerate (below 1e-6) the normalized field falls
-    back to the raw discord and the report is flagged.
-    """
+def evaluate_witnesses(rho, target) -> WitnessReport:
+    """Score a state against its ideal target."""
     c = concurrence(rho)
     f = fidelity(rho, target)
     g = purity(rho)
     info = mutual_information(rho)
     j, diag = classical_correlation(rho, return_diagnostics=True)
-    d = _discord_from(info, j)
-    if discord_reference is not None and discord_reference >= 1e-6:
-        d_norm = d / discord_reference
-    else:
-        d_norm = d
-        if discord_reference is not None:
-            diag["normalization_degenerate"] = True
     return WitnessReport(
         concurrence=c,
         fidelity=f,
         purity=g,
         mutual_information=info,
         classical_correlation=j,
-        discord=d,
-        discord_normalized=d_norm,
+        discord=_discord_from(info, j),
         diagnostics=diag,
     )

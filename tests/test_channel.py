@@ -47,7 +47,8 @@ class TestApplyScreen:
         grid = make_grid(128, 16 * W0)
         f = lg_field(LGMode(ell=1, w0=W0), grid)
         out = apply_screen(f, screen_for(1.5, 3))
-        assert out.power == pytest.approx(f.power, rel=1e-12)
+        before = np.sum(np.abs(f.amplitude) ** 2)
+        assert np.sum(np.abs(out.amplitude) ** 2) == pytest.approx(before, rel=1e-12)
 
     def test_grid_mismatch_rejected(self):
         f = lg_field(LGMode(ell=0, w0=W0), make_grid(64, 8 * W0))

@@ -214,7 +214,6 @@ class TestScreens:
         # screen k of the first strength of a sweep with master seed s is
         # screen k of `skysim screens --seed s`
         from skysim.experiments import run_static
-        from skysim.states import screen_digest
         from skysim.turbulence import read_screen
 
         out = tmp_path / "screens"
@@ -234,7 +233,7 @@ class TestScreens:
                 (run_dir / "0_1" / "omega-0.70" / f"realisation-{k}.json").read_text()
             )
             screen = read_screen(out / f"screen-{k:04d}.skyp")
-            assert screen_digest(screen) == doc["record"]["provenance"]["screen_hash"]
+            assert screen.digest == doc["record"]["provenance"]["screen_hash"]
 
     def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
         first = tmp_path / "a"
@@ -406,11 +405,11 @@ class TestWitnessCommand:
         )
         assert list(rows) == [
             "state", "concurrence", "fidelity", "purity", "mutual_information",
-            "classical_correlation", "discord", "discord_normalized",
+            "classical_correlation", "discord",
         ]
         assert float(rows["concurrence"]) == pytest.approx(1.0, abs=1e-6)
         assert float(rows["fidelity"]) == pytest.approx(1.0, abs=1e-6)
-        assert float(rows["discord_normalized"]) == pytest.approx(1.0, abs=1e-3)
+        assert float(rows["discord"]) == pytest.approx(1.0, abs=1e-3)
 
     def test_accepts_run_artifact_with_nested_density(self, small_run, capsys):
         # realisation files nest the matrix under "density"; pointing the

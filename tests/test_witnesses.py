@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import skysim.witnesses
-from skysim.states import DensityMatrix4, make_state, partial_trace, pauli_components
+from skysim.states import (
+    DensityMatrix4,
+    catalog,
+    make_state,
+    partial_trace,
+    pauli_components,
+)
 from skysim.witnesses import (
     WitnessReport,
     _objective_batch,
@@ -225,6 +231,16 @@ class TestClassicalCorrelationAndDiscord:
     def test_maximally_mixed_zero(self):
         assert discord(MIXED) == pytest.approx(0.0, abs=1e-9)
 
+    def test_catalog_targets_carry_one_bit(self):
+        # A pure state's discord is its entanglement entropy (Ollivier &
+        # Zurek, PRL 88, 017901 (2001)), and every catalog state is
+        # maximally entangled, so no target's discord needs a normaliser.
+        for state_id, state in catalog().items():
+            target = DensityMatrix4.from_pure(state)
+            entropy = von_neumann_entropy(partial_trace(target, "A"))
+            assert discord(target) == pytest.approx(entropy, abs=1e-12), state_id
+            assert entropy == pytest.approx(1.0, abs=1e-12), state_id
+
     def test_optimizer_at_least_grid_floor(self):
         for seed in (0, 1, 2):
             rho = random_density(seed)
@@ -365,7 +381,7 @@ class TestSearchAgainstSlsqp:
             "from skysim.witnesses import evaluate_witnesses\n"
             "bell = DensityMatrix4.from_pure(make_state(0, 1))\n"
             "mixed = DensityMatrix4(0.7 * bell.matrix + 0.3 * np.eye(4) / 4)\n"
-            "evaluate_witnesses(mixed, bell, discord_reference=1.0)\n"
+            "evaluate_witnesses(mixed, bell)\n"
             "print('scipy.optimize' in sys.modules)\n"
         )
         src = str(Path(skysim.__file__).resolve().parents[1])
@@ -379,29 +395,14 @@ class TestSearchAgainstSlsqp:
 
 class TestReport:
     def test_bell_report(self):
-        rep = evaluate_witnesses(BELL, BELL, discord_reference=1.0)
+        rep = evaluate_witnesses(BELL, BELL)
         assert rep.concurrence == pytest.approx(1.0, abs=1e-9)
         assert rep.fidelity == pytest.approx(1.0, abs=1e-9)
         assert rep.purity == pytest.approx(1.0, abs=1e-12)
         assert rep.mutual_information == pytest.approx(2.0, abs=1e-9)
         assert rep.discord == pytest.approx(1.0, abs=1e-6)
-        assert rep.discord_normalized == pytest.approx(rep.discord)
-
-    def test_normalization_scales(self):
-        rep = evaluate_witnesses(werner(0.5), BELL, discord_reference=0.5)
-        assert rep.discord_normalized == pytest.approx(rep.discord / 0.5)
-
-    def test_degenerate_reference_flagged(self):
-        rep = evaluate_witnesses(MIXED, BELL, discord_reference=1e-9)
-        assert rep.discord_normalized == rep.discord
-        assert rep.diagnostics.get("normalization_degenerate") is True
-
-    def test_no_reference_leaves_raw_value(self):
-        rep = evaluate_witnesses(BELL, BELL)
-        assert rep.discord_normalized == rep.discord
-        assert "normalization_degenerate" not in rep.diagnostics
 
     def test_report_is_dataclass_with_diagnostics(self):
-        rep = evaluate_witnesses(BELL, BELL, discord_reference=1.0)
+        rep = evaluate_witnesses(BELL, BELL)
         assert isinstance(rep, WitnessReport)
         assert "grid_max" in rep.diagnostics
