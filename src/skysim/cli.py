@@ -316,9 +316,7 @@ def _cmd_witness(args, parser) -> int:
     state = _load_catalog_state(args.state, parser)
     rho = _load_density(args.density)
     report = evaluate_witnesses(rho, DensityMatrix4.from_pure(state))
-    doc = {"state": args.state, **asdict(report)}
-    del doc["diagnostics"]
-    _emit(doc, args.format, args.out)
+    _emit({"state": args.state, **asdict(report)}, args.format, args.out)
     return 0
 
 

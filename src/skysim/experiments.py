@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from numbers import Integral
 from pathlib import Path
 
@@ -56,7 +56,7 @@ from skysim.turbulence import (
     generate_screen,
     omega_to_fried,
 )
-from skysim.witnesses import evaluate_witnesses
+from skysim.witnesses import WitnessReport, evaluate_witnesses
 from skysim.topology import DegenerateFieldError, skyrmion_number
 
 __all__ = [
@@ -76,15 +76,7 @@ DEFAULT_WAIST = 0.9375e-3
 
 # The columns of witnesses.csv and summary.csv: WitnessReport fields, then
 # the wrapping number.
-_WITNESS_COLUMNS = (
-    "concurrence",
-    "fidelity",
-    "purity",
-    "mutual_information",
-    "classical_correlation",
-    "discord",
-    "skyrmion",
-)
+_WITNESS_COLUMNS = (*(f.name for f in fields(WitnessReport)), "skyrmion")
 
 
 @dataclass(frozen=True)
@@ -103,6 +95,9 @@ class RunConfig:
     count_model: CountModel | None = None
 
     def __post_init__(self):
+        # Held as tuples, so a config is hashable and a generator is read once.
+        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "omegas", tuple(self.omegas))
         if not (0 < self.w0 < np.inf and 0 < self.extent_factor < np.inf):
             raise ValueError(
                 "w0 and extent_factor must be finite and > 0, "
@@ -122,9 +117,11 @@ class RunConfig:
             raise ValueError("need at least one state")
         if len(set(self.states)) != len(self.states):
             raise ValueError(f"duplicate state ids in {self.states}")
-        if not isinstance(self.realisations, Integral) or self.realisations < 1:
+        realisations = self.realisations
+        if (isinstance(realisations, bool) or not isinstance(realisations, Integral)
+                or realisations < 1):
             raise ValueError(
-                f"need an integer number of realisations >= 1, got {self.realisations}"
+                f"need an integer number of realisations >= 1, got {realisations}"
             )
         if self.mode not in ("static", "ensemble"):
             raise ValueError(f"mode must be 'static' or 'ensemble', got {self.mode}")
@@ -145,7 +142,7 @@ class RunConfig:
 
 
 def _check_master_seed(seed) -> None:
-    if not isinstance(seed, Integral) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ValueError(f"master seed must be a non-negative integer, got {seed}")
 
 
@@ -164,8 +161,7 @@ def config_to_json(config: RunConfig) -> dict:
 
 def config_from_json(doc: dict) -> RunConfig:
     doc = dict(doc)
-    doc["states"] = tuple(doc["states"])
-    doc["omegas"] = tuple(float(o) for o in doc["omegas"])
+    doc["omegas"] = [float(o) for o in doc["omegas"]]
     if doc.get("count_model") is not None:
         doc["count_model"] = CountModel(**doc["count_model"])
     return RunConfig(**doc)

@@ -122,7 +122,8 @@ def _check_strength(omega: float) -> None:
 
 
 def _check_levels(levels: int) -> None:
-    if not isinstance(levels, Integral) or not 0 <= levels <= _SUBHARMONIC_LEVELS_MAX:
+    if (isinstance(levels, bool) or not isinstance(levels, Integral)
+            or not 0 <= levels <= _SUBHARMONIC_LEVELS_MAX):
         raise ValueError(
             f"n_subharmonics must be an integer in [0, {_SUBHARMONIC_LEVELS_MAX}], "
             f"got {levels}"

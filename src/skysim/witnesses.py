@@ -24,7 +24,7 @@ All entropies are in bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,15 +149,15 @@ def _objective_batch(rho4, theta, phi, entropy_a):
     return _objective(pauli_components(rho4), theta, phi, entropy_a)
 
 
-def classical_correlation(rho, return_diagnostics: bool = False):
+def classical_correlation(rho) -> float:
     """One-way classical correlation, maximized over B measurements.
 
     Measuring along n or -n gives the same outcomes, so the search runs
-    over the hemisphere n_z >= 0: a 16x64 midpoint grid gives the floor
-    `grid_max`, and 16 zoom levels refine around its 8 best points. The
-    zoom may step past the hemisphere edge or the pole, where the
-    objective is still valid. Every step is fixed, so the value is a
-    deterministic function of rho and never below the grid floor. The
+    over the hemisphere n_z >= 0: 16 zoom levels refine around the 8
+    best points of a 16x64 midpoint grid. The zoom may step past the
+    hemisphere edge or the pole, where the objective is still valid.
+    Every step is fixed, so the value is a deterministic function of rho
+    and never below the grid floor, the best value on that grid. The
     argmax is not reported: it is flat on pure states and moves far
     under rounding-level changes of rho.
     """
@@ -172,7 +172,6 @@ def classical_correlation(rho, return_diagnostics: bool = False):
     )
     theta, phi = tt.ravel(), pp.ravel()
     vals = _objective(r, theta, phi, entropy_a)
-    grid_max = float(vals.max())
 
     off_t, off_p = np.meshgrid(_ZOOM_OFFSETS, _ZOOM_OFFSETS, indexing="ij")
     off_t, off_p = off_t.ravel(), off_p.ravel()
@@ -184,11 +183,7 @@ def classical_correlation(rho, return_diagnostics: bool = False):
         vals = _objective(r, theta, phi, entropy_a)
     # the zero offset re-evaluates each kept point, so the last level
     # holds the best value seen
-    best_val = float(vals.max())
-
-    if return_diagnostics:
-        return best_val, {"grid_max": grid_max}
-    return best_val
+    return float(vals.max())
 
 
 def _discord_from(info: float, j: float) -> float:
@@ -208,7 +203,10 @@ def discord(rho) -> float:
 
 @dataclass
 class WitnessReport:
-    """All scalar witnesses for one reconstructed state."""
+    """All scalar witnesses for one reconstructed state.
+
+    Its fields, in order, are the witness columns of a sweep's tables.
+    """
 
     concurrence: float
     fidelity: float
@@ -216,7 +214,6 @@ class WitnessReport:
     mutual_information: float
     classical_correlation: float
     discord: float
-    diagnostics: dict = field(default_factory=dict)
 
 
 def evaluate_witnesses(rho, target) -> WitnessReport:
@@ -225,7 +222,7 @@ def evaluate_witnesses(rho, target) -> WitnessReport:
     f = fidelity(rho, target)
     g = purity(rho)
     info = mutual_information(rho)
-    j, diag = classical_correlation(rho, return_diagnostics=True)
+    j = classical_correlation(rho)
     return WitnessReport(
         concurrence=c,
         fidelity=f,
@@ -233,5 +230,4 @@ def evaluate_witnesses(rho, target) -> WitnessReport:
         mutual_information=info,
         classical_correlation=j,
         discord=_discord_from(info, j),
-        diagnostics=diag,
     )

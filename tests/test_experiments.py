@@ -3,7 +3,7 @@
 import csv
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -25,6 +25,7 @@ from skysim.experiments import (
 from skysim.states import catalog
 from skysim.topology import DegenerateFieldError
 from skysim.turbulence import PhaseScreen
+from skysim.witnesses import WitnessReport
 import skysim.experiments as experiments
 
 SMALL = RunConfig(
@@ -95,6 +96,10 @@ class TestRunConfig:
             ({"extent_factor": float("inf")}, "extent_factor"),
             # this one raised ZeroDivisionError
             ({"grid_n": 0}, "grid size"),
+            # True passed as 1, hashing to another directory than 1 does
+            ({"master_seed": True}, "master seed"),
+            ({"realisations": True}, "realisations"),
+            ({"n_subharmonics": True}, "n_subharmonics"),
         ],
     )
     def test_config_that_cannot_run_rejected(self, fields, match):
@@ -141,6 +146,13 @@ class TestRunConfig:
             ({"n_subharmonics": np.int64(3)}, {"n_subharmonics": 3}),
             ({"count_model": CountModel(pair_rate=np.int64(4000))},
              {"count_model": CountModel(pair_rate=4000)}),
+            # an array's truth value raised; a list, or an array kept as
+            # given, left the config unhashable; a generator was used up
+            # by the checks
+            ({"omegas": np.array([0.5])}, {"omegas": (0.5,)}),
+            ({"omegas": np.array([0.5, 1.0])}, {"omegas": (0.5, 1.0)}),
+            ({"states": ["0_1"]}, {"states": ("0_1",)}),
+            ({"omegas": (omega for omega in (0.5,))}, {"omegas": (0.5,)}),
         ],
     )
     def test_numpy_integers_hash_like_plain_numbers(
@@ -151,6 +163,7 @@ class TestRunConfig:
         base = replace(SMALL, omegas=(0.5,), realisations=1)
         config = replace(base, **numpy_fields)
         twin = replace(base, **plain_fields)
+        assert config == twin and hash(config) == hash(twin)
         assert config_hash(config) == config_hash(twin)
         run_dir = run(config, tmp_path / "numpy")
         twin_dir = run(twin, tmp_path / "plain")
@@ -172,6 +185,12 @@ class TestSeeds:
             for s in range(2)
         }
         assert len(seeds) == 54
+
+
+def assert_witness_block_is_a_report(block):
+    # the six witnesses as numbers, and nothing beside them
+    assert list(block) == sorted(f.name for f in fields(WitnessReport))
+    assert all(isinstance(value, float) for value in block.values())
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +226,21 @@ class TestStaticRun:
         quiet = [r for r in rows if r["omega"] == "0"]
         for r in quiet:
             assert float(r["fidelity"]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_table_headers_follow_the_report(self, run_dir):
+        columns = [f.name for f in fields(WitnessReport)] + ["skyrmion"]
+        with open(run_dir / "witnesses.csv") as fh:
+            assert next(csv.reader(fh)) == ["state", "omega", "realisation", *columns]
+        with open(run_dir / "summary.csv") as fh:
+            header = next(csv.reader(fh))
+        assert header[:3] == ["state", "omega", "n_ok"]
+        assert header[3:] == [f"{c}_{s}" for c in columns for s in ("mean", "std")]
+
+    def test_witness_block_is_the_report(self, run_dir):
+        doc = json.loads(
+            (run_dir / "0_1" / "omega-1.00" / "realisation-1.json").read_text()
+        )
+        assert_witness_block_is_a_report(doc["witnesses"])
 
     def test_summary_aggregates(self, run_dir):
         with open(run_dir / "summary.csv") as fh:
@@ -381,6 +415,12 @@ class TestEnsembleRun:
             [[complex(re, im) for re, im in row] for row in doc["density"]["matrix"]]
         )
         assert np.trace(back).real == pytest.approx(1.0, abs=1e-9)
+
+    def test_witness_block_is_the_report(self, tmp_path):
+        cfg = replace(SMALL, omegas=(1.0,), realisations=1, mode="ensemble")
+        run_dir = run_ensemble(cfg, tmp_path)
+        doc = json.loads((run_dir / "0_1" / "omega-1.00" / "ensemble.json").read_text())
+        assert_witness_block_is_a_report(doc["witnesses"])
 
     def test_member_whose_wrapping_number_would_fail_stays_in_average(self, tmp_path):
         # Members are never evaluated, so a wrapping number that cannot be
