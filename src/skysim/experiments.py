@@ -28,7 +28,6 @@ import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ import numpy as np
 # this module calls either.
 from skysim.channel import CountModel, effective_channel  # noqa: F401
 from skysim.witnesses import discord  # noqa: F401
-from skysim.modes import Grid2D, LGMode, _check_resolution, make_grid
+from skysim.modes import Grid2D, LGMode, _check_integer, _check_resolution, make_grid
 from skysim.states import (
     BipartitePureState,
     DensityMatrix4,
@@ -117,15 +116,10 @@ class RunConfig:
             raise ValueError("need at least one state")
         if len(set(self.states)) != len(self.states):
             raise ValueError(f"duplicate state ids in {self.states}")
-        realisations = self.realisations
-        if (isinstance(realisations, bool) or not isinstance(realisations, Integral)
-                or realisations < 1):
-            raise ValueError(
-                f"need an integer number of realisations >= 1, got {realisations}"
-            )
+        _check_integer("realisations", self.realisations, low=1)
         if self.mode not in ("static", "ensemble"):
             raise ValueError(f"mode must be 'static' or 'ensemble', got {self.mode}")
-        _check_master_seed(self.master_seed)
+        _check_integer("master seed", self.master_seed, low=0)
         if not self.omegas:
             raise ValueError("need at least one strength")
         for omega in self.omegas:
@@ -141,14 +135,9 @@ class RunConfig:
         return make_grid(self.grid_n, self.extent_factor * self.w0)
 
 
-def _check_master_seed(seed) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ValueError(f"master seed must be a non-negative integer, got {seed}")
-
-
 def _plain(value):
     """A numpy scalar as the Python number it equals. Numpy integers pass
-    the Integral checks, but json refuses them."""
+    the integer checks, but json refuses them."""
     return value.item() if isinstance(value, np.generic) else value
 
 
@@ -469,23 +458,19 @@ def run_calibration(
     screens and accumulates the output spectrum over indices within
     +-window. Returns spectra and survival tables ready for CSV export.
     Raises ValueError for no strength, a screen count or window that is
-    not an integer >= 1 or >= 0, a seed that is not a non-negative
-    integer, subharmonic levels outside the integers 0-8, a grid size
-    that is not an even integer >= 16, a waist or extent factor that is
-    not finite and positive, or a strength that is negative or not
-    finite, and SamplingError when the grid cannot resolve every mode in
+    not an integer >= 1 or >= 0 (a bool is not one), a seed that is not
+    a non-negative integer, subharmonic levels outside the integers 0-8,
+    a grid size that is not an even integer >= 16, a waist or extent
+    factor that is not finite and positive, or a strength that is
+    negative or not finite, and SamplingError when the grid cannot resolve every mode in
     the window; all before any screen is drawn.
     """
     from skysim.channel import crosstalk_amplitude, survival_probability_analytic
 
     omegas = tuple(_plain(omega) for omega in omegas)
-    if not isinstance(n_screens, Integral) or n_screens < 1:
-        raise ValueError(
-            f"need at least one screen per strength, as an integer, got {n_screens}"
-        )
-    if not isinstance(window, Integral) or window < 0:
-        raise ValueError(f"window must be an integer >= 0, got {window}")
-    _check_master_seed(seed)
+    _check_integer("n_screens", n_screens, low=1)
+    _check_integer("window", window, low=0)
+    _check_integer("master seed", seed, low=0)
 
     grid = make_grid(grid_n, extent_factor * w0)
     # Mode radius grows with |ell|, so these two bound the whole window;

@@ -31,8 +31,24 @@ class SamplingError(ValueError):
     """A requested mode or screen cannot be resolved on the given grid."""
 
 
+def _check_integer(name: str, value, low: int | None = None,
+                   high: int | None = None) -> None:
+    """Refuse a bool, a non-integer, or an integer outside [low, high]."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or (low is not None and value < low)
+            or (high is not None and value > high)):
+        if high is not None:
+            kind = f"an integer in [{low}, {high}]"
+        elif low is not None:
+            kind = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+        else:
+            kind = "an integer"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def _check_size(n) -> None:
-    if not isinstance(n, Integral) or n < 16 or n % 2 != 0:
+    _check_integer("grid size", n, low=16)
+    if n % 2 != 0:
         raise ValueError(f"grid size must be an even integer >= 16, got n={n}")
 
 
@@ -73,6 +89,7 @@ class LGMode:
     w0: float
 
     def __post_init__(self):
+        _check_integer("mode index ell", self.ell)
         if not 0 < self.w0 < np.inf:
             raise ValueError(f"waist must be finite and positive, got w0={self.w0}")
 
@@ -131,10 +148,10 @@ def effective_radius(ell: int, w0: float) -> float:
 
     Grows with |ell| because the bright ring moves outward; it is the
     length scale compared against the turbulence correlation length when
-    forming the dimensionless strength.
+    forming the dimensionless strength. An index or waist that LGMode
+    refuses is refused here too.
     """
-    if w0 <= 0:
-        raise ValueError(f"waist must be positive, got w0={w0}")
+    LGMode(ell, w0)
     return w0 * np.sqrt(abs(ell) + 1)
 
 

@@ -29,6 +29,7 @@ from types import MappingProxyType
 import numpy as np
 
 from skysim.channel import CountModel, effective_channel
+from skysim.modes import _check_integer
 from skysim.turbulence import PhaseScreen
 
 __all__ = [
@@ -84,6 +85,8 @@ class BipartitePureState:
     relative_phase: float = 0.0
 
     def __post_init__(self):
+        _check_integer("branch index ell_a1", self.ell_a1)
+        _check_integer("branch index ell_a2", self.ell_a2)
         if self.ell_a1 == self.ell_a2:
             raise ValueError(
                 f"branch indices must differ, got {self.ell_a1} twice"

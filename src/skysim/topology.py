@@ -32,7 +32,6 @@ from skysim.states import BipartitePureState, DensityMatrix4, pauli_components
 
 __all__ = [
     "DegenerateFieldError",
-    "mode_pair",
     "spatial_density",
     "skyrmion_number",
 ]
@@ -49,32 +48,23 @@ class DegenerateFieldError(RuntimeError):
     """
 
 
-def mode_pair(
-    state: BipartitePureState, grid: Grid2D, w0: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial modes carrying the two logical branches.
-
-    The winding difference between the two is the wrapping target:
-    branch 1 maps to the conjugate-index mode, so the pair differ by
-    ell_a1 + ell_a2 units of azimuthal winding.
-    """
-    u0 = lg_field(LGMode(ell=-state.ell_a1, w0=w0), grid).amplitude
-    u1 = lg_field(LGMode(ell=+state.ell_a2, w0=w0), grid).amplitude
-    return u0, u1
-
-
 def spatial_density(
     rho: DensityMatrix4, state: BipartitePureState, grid: Grid2D, w0: float
 ) -> np.ndarray:
     """Position-conditioned 2x2 density, shape (n, n, 2, 2).
 
     Arm A is projected onto the state's mode pair at each pixel; arm B
-    is left as it is. The lattice reference of the test suite samples
+    is left as it is. Branch 1 maps to the conjugate-index mode, so the
+    pair differ by ell_a1 + ell_a2 units of azimuthal winding, the
+    wrapping target. The lattice reference of the test suite samples
     the Bloch field from this.
     """
     r4 = rho.matrix.reshape(2, 2, 2, 2)
-    u0, u1 = mode_pair(state, grid, w0)
-    modes = np.stack([u0, u1], axis=-1)
+    modes = np.stack(
+        [lg_field(LGMode(ell=ell, w0=w0), grid).amplitude
+         for ell in (-state.ell_a1, state.ell_a2)],
+        axis=-1,
+    )
     return np.einsum("...i,...m,ijmn->...jn", modes, modes.conj(), r4)
 
 

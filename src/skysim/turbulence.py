@@ -50,11 +50,10 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from numbers import Integral
 
 import numpy as np
 
-from skysim.modes import Grid2D, SamplingError, effective_radius
+from skysim.modes import Grid2D, SamplingError, _check_integer, effective_radius
 
 __all__ = [
     "TurbulenceSpec",
@@ -122,12 +121,7 @@ def _check_strength(omega: float) -> None:
 
 
 def _check_levels(levels: int) -> None:
-    if (isinstance(levels, bool) or not isinstance(levels, Integral)
-            or not 0 <= levels <= _SUBHARMONIC_LEVELS_MAX):
-        raise ValueError(
-            f"n_subharmonics must be an integer in [0, {_SUBHARMONIC_LEVELS_MAX}], "
-            f"got {levels}"
-        )
+    _check_integer("n_subharmonics", levels, 0, _SUBHARMONIC_LEVELS_MAX)
 
 
 def omega_to_fried(omega: float, ell: int, w0: float) -> float:
@@ -155,12 +149,7 @@ class TurbulenceSpec:
         if not self.r0 > 0:
             raise ValueError(f"Fried parameter must be positive, got {self.r0}")
         _check_levels(self.n_subharmonics)
-        if not isinstance(self.seed, Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-
-    def statistics_key(self) -> tuple:
-        """Identity of the generating distribution, seed excluded."""
-        return (self.r0, self.grid.n, self.grid.dx, self.n_subharmonics)
+        _check_integer("seed", self.seed, low=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,10 +342,8 @@ def structure_function(screens: list[PhaseScreen], separations) -> np.ndarray:
         raise ValueError(
             f"structure function needs at least 50 screens, got {len(screens)}"
         )
-    key = screens[0].spec.statistics_key()
-    for s in screens[1:]:
-        if s.spec.statistics_key() != key:
-            raise ValueError("screens with mixed statistics cannot be pooled")
+    if len({(s.spec.r0, s.spec.grid, s.spec.n_subharmonics) for s in screens}) > 1:
+        raise ValueError("screens with mixed statistics cannot be pooled")
     grid = screens[0].grid
     stack = np.stack([s.phase for s in screens])
 

@@ -87,7 +87,7 @@ class TestRunConfig:
             ({"omegas": ()}, "at least one strength"),
             # 2.5 left an empty strength directory without a manifest;
             # 1.5 made every realisation a "seed must be integer" error
-            ({"realisations": 2.5}, "integer number of realisations"),
+            ({"realisations": 2.5}, "realisations must be an integer >= 1"),
             ({"master_seed": 1.5}, "non-negative integer"),
             # these four made every realisation an error document
             ({"grid_n": 128.0}, "grid size"),
@@ -158,7 +158,7 @@ class TestRunConfig:
     def test_numpy_integers_hash_like_plain_numbers(
         self, numpy_fields, plain_fields, tmp_path
     ):
-        # numpy integers pass the Integral checks; config_hash and run used
+        # numpy integers pass the integer checks; config_hash and run used
         # to raise "Object of type int64 is not JSON serializable"
         base = replace(SMALL, omegas=(0.5,), realisations=1)
         config = replace(base, **numpy_fields)
@@ -643,7 +643,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("n_screens", [0, -1])
     def test_no_screens_rejected(self, n_screens):
-        with pytest.raises(ValueError, match="at least one screen"):
+        with pytest.raises(ValueError, match="n_screens must be an integer >= 1"):
             run_calibration((0.5,), n_screens=n_screens, grid_n=64)
 
     def test_non_finite_strength_rejected_before_any_screen(self, monkeypatch):
@@ -663,8 +663,8 @@ class TestCalibration:
             ({"extent_factor": float("inf")}, "pixel pitch"),
             ({"n_subharmonics": 2.5}, "n_subharmonics"),
             # these two failed with a TypeError
-            ({"n_screens": 2.5}, "as an integer"),
-            ({"window": 2.5}, "window must be an integer"),
+            ({"n_screens": 2.5}, "n_screens must be an integer >= 1"),
+            ({"window": 2.5}, "window must be a non-negative integer"),
             # this one returned empty tables
             ({"omegas": ()}, "at least one strength"),
             # these two failed inside numpy at the first screen
@@ -672,6 +672,10 @@ class TestCalibration:
             ({"seed": -1}, "master seed must be a non-negative integer"),
             # this one raised ZeroDivisionError
             ({"grid_n": 0}, "grid size"),
+            # True was taken as 1: the window was written as true, and the
+            # screen count failed inside numpy with a TypeError
+            ({"window": True}, "window must be a non-negative integer"),
+            ({"n_screens": True}, "n_screens must be an integer >= 1"),
         ],
     )
     def test_grid_and_levels_refused_before_any_screen(

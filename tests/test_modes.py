@@ -73,6 +73,21 @@ class TestGrid:
         with pytest.raises(ValueError, match="waist"):
             LGMode(ell=0, w0=w0)
 
+    @pytest.mark.parametrize("ell", [True, 1.5, 2.0])
+    def test_non_integer_mode_index_rejected(self, ell):
+        # each was accepted; lg_field then failed inside numpy
+        with pytest.raises(ValueError, match="mode index ell"):
+            LGMode(ell=ell, w0=W0)
+
+    def test_numpy_integer_mode_index_accepted(self):
+        mode = LGMode(ell=np.int64(-2), w0=W0)
+        assert mode == LGMode(ell=-2, w0=W0)
+        grid = make_grid(128, 16 * W0)
+        assert np.array_equal(
+            lg_field(mode, grid).amplitude,
+            lg_field(LGMode(ell=-2, w0=W0), grid).amplitude,
+        )
+
 
 def closed_form_field(mode, grid):
     """Reference sampler: lg_field as it was when each mode was built from

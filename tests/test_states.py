@@ -160,6 +160,13 @@ class TestStates:
         with pytest.raises(ValueError, match="differ"):
             make_state(2, 2)
 
+    @pytest.mark.parametrize("ells", [(0, 1.5), (0.5, 1.5), (0, True)])
+    def test_non_integer_branch_index_rejected(self, ells):
+        # each was accepted, and the closed-form wrapping number of (0, 1.5)
+        # read 1.5
+        with pytest.raises(ValueError, match="branch index ell_a"):
+            make_state(*ells)
+
     def test_arm_b_anticorrelated(self):
         s = make_state(0, 3)
         assert s.ells_a == (0, 3)

@@ -13,11 +13,10 @@ reference point passes its coverage test.
 import numpy as np
 import pytest
 
-from skysim.modes import make_grid
+from skysim.modes import LGMode, lg_field, make_grid
 from skysim.states import DensityMatrix4, catalog, make_state
 from skysim.topology import (
     DegenerateFieldError,
-    mode_pair,
     skyrmion_number,
     spatial_density,
 )
@@ -147,6 +146,15 @@ def plaquette_sum(unit_field: np.ndarray, keep: np.ndarray) -> float:
     t1 = solid_angle(unit_field[:-1, :-1], unit_field[:-1, 1:], unit_field[1:, 1:])
     t2 = solid_angle(unit_field[:-1, :-1], unit_field[1:, 1:], unit_field[1:, :-1])
     return float(((t1 + t2) * corners).sum() / (4 * np.pi))
+
+
+def mode_pair(state, grid, w0):
+    """The arm-A modes of the two logical branches, as spatial_density
+    projects onto them: the first takes the conjugate of ell_a1."""
+    return tuple(
+        lg_field(LGMode(ell=ell, w0=w0), grid).amplitude
+        for ell in (-state.ell_a1, state.ell_a2)
+    )
 
 
 def through_channel(rho, channel):

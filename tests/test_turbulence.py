@@ -69,6 +69,13 @@ class TestOmegaToFried:
         with pytest.raises(ValueError):
             omega_to_fried(-0.5, 0, W0)
 
+    @pytest.mark.parametrize("w0", [float("inf"), float("nan")])
+    def test_non_finite_waist_rejected(self, w0):
+        # inf returned an infinite r0, which means no turbulence; nan
+        # returned nan
+        with pytest.raises(ValueError, match="waist"):
+            omega_to_fried(1.0, 0, w0)
+
 
 def spec128(seed, r0_px=16.0, n_sub=5):
     grid = Grid2D(n=128, dx=1.0)
@@ -127,6 +134,9 @@ class TestGenerateScreen:
         # was accepted, then failed in generate_screen with a TypeError
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             TurbulenceSpec(r0=1.0, grid=grid, seed=1.5)
+        # was accepted as seed 1
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            TurbulenceSpec(r0=1.0, grid=grid, seed=True)
         assert TurbulenceSpec(r0=1.0, grid=grid, seed=np.int64(3)).seed == 3
 
     def test_levels_must_be_integers(self):
