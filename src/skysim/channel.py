@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from skysim.modes import ComplexField, LGMode, lg_field
+from skysim.modes import ComplexField, LGMode, _check_real, lg_field
 from skysim.turbulence import PhaseScreen, _check_strength
 
 __all__ = [
@@ -94,8 +94,6 @@ def effective_channel(state, screen: PhaseScreen | None, w0: float) -> np.ndarra
     """
     if screen is None:
         return np.eye(2, dtype=complex)
-    if w0 is None:
-        raise ValueError("w0 is required to form the channel of a screen")
     grid = screen.grid
     ells = tuple(state.ells_b)
     key = min(ells, tuple(-ell for ell in ells))
@@ -134,15 +132,9 @@ class CountModel:
 
     def __post_init__(self):
         for name in ("pair_rate", "singles_rate_a", "singles_rate_b"):
-            value = getattr(self, name)
-            if not 0 <= value < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not 0 < self.gate < 1:
-            raise ValueError(f"gate must be a sub-second positive time, got {self.gate}")
-        if not 0 < self.integration < np.inf:
-            raise ValueError(
-                f"integration must be finite and positive, got {self.integration}"
-            )
+            _check_real(name, getattr(self, name), zero=True)
+        _check_real("gate", self.gate, high=1.0)
+        _check_real("integration", self.integration)
 
     @property
     def accidental_rate(self) -> float:

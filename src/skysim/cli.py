@@ -147,14 +147,18 @@ def _default_w0(value):
 
 
 def _check_screen_flags(args, parser) -> None:
+    from skysim.modes import _check_integer
     from skysim.turbulence import _check_levels
 
-    if args.n_screens < 1:
-        parser.error(f"--n-screens: need at least 1 screen, got {args.n_screens}")
-    try:
-        _check_levels(args.n_subharmonics)
-    except ValueError as exc:
-        parser.error(f"--n-subharmonics: {exc}")
+    for flag, check, *rule in (
+        ("--n-screens", _check_integer, "n_screens", args.n_screens, 1),
+        ("--n-subharmonics", _check_levels, args.n_subharmonics),
+        ("--window", _check_integer, "window", getattr(args, "window", 0), 0),  # not on screens
+    ):
+        try:
+            check(*rule)
+        except ValueError as exc:
+            parser.error(f"{flag}: {exc}")
 
 
 def _cmd_screens(args, parser) -> int:
@@ -213,8 +217,6 @@ def _cmd_calibrate(args, parser) -> int:
 
     omegas = _parse_omegas(args.omegas, parser)
     _check_screen_flags(args, parser)
-    if args.window < 0:
-        parser.error(f"--window: must be >= 0, got {args.window}")
     result = run_calibration(
         omegas,
         n_screens=args.n_screens,

@@ -36,7 +36,7 @@ import numpy as np
 # this module calls either.
 from skysim.channel import CountModel, effective_channel  # noqa: F401
 from skysim.witnesses import discord  # noqa: F401
-from skysim.modes import Grid2D, LGMode, _check_integer, _check_resolution, make_grid
+from skysim.modes import Grid2D, LGMode, _check_integer, _check_real, _check_resolution, make_grid
 from skysim.states import (
     BipartitePureState,
     DensityMatrix4,
@@ -97,11 +97,8 @@ class RunConfig:
         # Held as tuples, so a config is hashable and a generator is read once.
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "omegas", tuple(self.omegas))
-        if not (0 < self.w0 < np.inf and 0 < self.extent_factor < np.inf):
-            raise ValueError(
-                "w0 and extent_factor must be finite and > 0, "
-                f"got {self.w0}, {self.extent_factor}"
-            )
+        _check_real("w0", self.w0)
+        _check_real("extent_factor", self.extent_factor)
         _check_levels(self.n_subharmonics)
         # A grid that cannot hold a state's arm-B modes fails every
         # realisation alike, so it is refused before anything is written.
@@ -150,7 +147,8 @@ def config_to_json(config: RunConfig) -> dict:
 
 def config_from_json(doc: dict) -> RunConfig:
     doc = dict(doc)
-    doc["omegas"] = [float(o) for o in doc["omegas"]]
+    if "omegas" in doc:
+        doc["omegas"] = [float(o) for o in doc["omegas"]]
     if doc.get("count_model") is not None:
         doc["count_model"] = CountModel(**doc["count_model"])
     return RunConfig(**doc)
@@ -457,13 +455,9 @@ def run_calibration(
     For each strength, propagates the zero-index mode through fresh
     screens and accumulates the output spectrum over indices within
     +-window. Returns spectra and survival tables ready for CSV export.
-    Raises ValueError for no strength, a screen count or window that is
-    not an integer >= 1 or >= 0 (a bool is not one), a seed that is not
-    a non-negative integer, subharmonic levels outside the integers 0-8,
-    a grid size that is not an even integer >= 16, a waist or extent
-    factor that is not finite and positive, or a strength that is
-    negative or not finite, and SamplingError when the grid cannot resolve every mode in
-    the window; all before any screen is drawn.
+    Before any screen is drawn, raises ValueError for no strength, an odd
+    grid size or an argument that the integer or real-number rule refuses,
+    and SamplingError when the grid cannot resolve every mode in the window.
     """
     from skysim.channel import crosstalk_amplitude, survival_probability_analytic
 

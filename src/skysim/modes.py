@@ -10,7 +10,7 @@ topological charge computed later, so it is fixed here once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -46,6 +46,19 @@ def _check_integer(name: str, value, low: int | None = None,
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
+def _check_real(name: str, value, high: float = np.inf, *, zero: bool = False,
+                infinite: bool = False) -> None:
+    """Refuse a bool, a non-real, NaN, or a real outside (0, high), or
+    [0, high) when zero is allowed; infinity passes only when infinite."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not (0 <= value if zero else 0 < value)
+            or not (value < high or infinite and value == np.inf)):
+        bound = ">= 0" if zero else "> 0"
+        kind = (f"{bound} and < {high:g}" if high < np.inf
+                else f"{bound} or inf" if infinite else f"finite and {bound}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def _check_size(n) -> None:
     _check_integer("grid size", n, low=16)
     if n % 2 != 0:
@@ -66,8 +79,7 @@ class Grid2D:
 
     def __post_init__(self):
         _check_size(self.n)
-        if not 0 < self.dx < np.inf:
-            raise ValueError(f"pixel pitch must be finite and > 0, got dx={self.dx}")
+        _check_real("pixel pitch", self.dx)
 
     @property
     def extent(self) -> float:
@@ -90,8 +102,7 @@ class LGMode:
 
     def __post_init__(self):
         _check_integer("mode index ell", self.ell)
-        if not 0 < self.w0 < np.inf:
-            raise ValueError(f"waist must be finite and positive, got w0={self.w0}")
+        _check_real("waist w0", self.w0)
 
 
 @dataclass
@@ -128,6 +139,7 @@ class OamSpectrum:
             raise ValueError("modal powers must lie in [0, 1]")
 
     def power(self, ell: int) -> float:
+        _check_integer("mode index ell", ell)
         if not self.ell_min <= ell <= self.ell_max:
             raise KeyError(f"ell={ell} outside range [{self.ell_min}, {self.ell_max}]")
         return float(self.powers[ell - self.ell_min])
@@ -214,6 +226,8 @@ def azimuthal_spectrum(
     for how much scattered light a finite index window retains.
     """
     ell_min, ell_max = ell_range
+    for name, value in (("ell_min", ell_min), ("ell_max", ell_max), ("n_angles", n_angles)):
+        _check_integer(name, value)
     if ell_min > ell_max:
         raise ValueError(f"empty index range [{ell_min}, {ell_max}]")
     if n_angles < 4 * (max(abs(ell_min), abs(ell_max)) + 1):

@@ -53,7 +53,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from skysim.modes import Grid2D, SamplingError, _check_integer, effective_radius
+from skysim.modes import Grid2D, SamplingError, _check_integer, _check_real, effective_radius
 
 __all__ = [
     "TurbulenceSpec",
@@ -104,8 +104,7 @@ def kolmogorov_psd(f, r0: float):
     f = np.asarray(f, dtype=float)
     if np.any(f <= 0):
         raise ValueError("kolmogorov_psd requires strictly positive frequencies")
-    if not r0 > 0:
-        raise ValueError(f"Fried parameter must be positive, got r0={r0}")
+    _check_real("Fried parameter r0", r0, infinite=True)
     out = _PSD_COEFF * r0 ** (-5.0 / 3.0) * _spectral_power(f)
     return out if out.ndim else float(out)
 
@@ -116,8 +115,7 @@ def _spectral_power(f) -> np.ndarray:
 
 
 def _check_strength(omega: float) -> None:
-    if not 0 <= omega < np.inf:
-        raise ValueError(f"turbulence strength must be finite and >= 0, got {omega}")
+    _check_real("turbulence strength", omega, zero=True)
 
 
 def _check_levels(levels: int) -> None:
@@ -146,8 +144,7 @@ class TurbulenceSpec:
     n_subharmonics: int = 5
 
     def __post_init__(self):
-        if not self.r0 > 0:
-            raise ValueError(f"Fried parameter must be positive, got {self.r0}")
+        _check_real("Fried parameter r0", self.r0, infinite=True)
         _check_levels(self.n_subharmonics)
         _check_integer("seed", self.seed, low=0)
 

@@ -333,3 +333,13 @@ class TestCounting:
             for value in (float("nan"), float("inf")):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     CountModel(**{name: value})
+        # True was taken as 1 and written as true, hashing apart from 1.0;
+        # a string raised a TypeError that named no field
+        for name in (
+            "pair_rate", "singles_rate_a", "singles_rate_b", "gate", "integration"
+        ):
+            for value in (True, "1e-9", float("nan"), -1.0):
+                with pytest.raises(ValueError, match=f"{name} must be"):
+                    CountModel(**{name: value})
+        with pytest.raises(ValueError, match="gate must be"):
+            CountModel(gate=1.0)

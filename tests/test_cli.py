@@ -129,6 +129,19 @@ class TestExitCodes:
         assert "TypeError" in err and key in err
         assert not (tmp_path / "res").exists()
 
+    def test_bool_waist_config_is_runtime_error(self, tmp_path, capsys):
+        # "w0": true used to run a sweep with a 1 m waist and write the
+        # waist as true into config.json
+        config = {"omegas": [0.5], "realisations": 1, "grid_n": 128, "w0": True}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(
+            ["run", "--config", str(path), "--out", str(tmp_path / "res")], capsys
+        )
+        assert code == 2
+        assert "ValueError" in err and "w0" in err
+        assert not (tmp_path / "res").exists()
+
     def test_missing_config_is_runtime_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["run", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)],

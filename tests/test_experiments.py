@@ -51,10 +51,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="mode"):
             RunConfig(mode="averaged")
 
-    @pytest.mark.parametrize("omega", [-0.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("omega", [-0.5, float("nan"), float("inf"), True, "0.5"])
     def test_negative_strength_rejected(self, omega):
         # nan and inf used to be written into config.json as NaN and
-        # Infinity, then fail every realisation.
+        # Infinity, then fail every realisation. True was held as True;
+        # a string raised a TypeError that named no field.
         with pytest.raises(ValueError, match=">= 0"):
             RunConfig(omegas=(omega,))
 
@@ -100,6 +101,15 @@ class TestRunConfig:
             ({"master_seed": True}, "master seed"),
             ({"realisations": True}, "realisations"),
             ({"n_subharmonics": True}, "n_subharmonics"),
+            # True swept a 1 m waist or a 1-waist extent; a string raised a
+            # TypeError that named no field
+            ({"w0": True}, "w0 must be finite"),
+            ({"w0": "1e-3"}, "w0 must be finite"),
+            ({"w0": float("nan")}, "w0 must be finite"),
+            ({"extent_factor": True}, "extent_factor must be finite"),
+            ({"extent_factor": "16"}, "extent_factor must be finite"),
+            ({"extent_factor": float("nan")}, "extent_factor must be finite"),
+            ({"extent_factor": -16.0}, "extent_factor must be finite"),
         ],
     )
     def test_config_that_cannot_run_rejected(self, fields, match):
@@ -111,7 +121,10 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "fields",
         [{"pair_rate": float("nan")}, {"integration": float("nan")},
-         {"singles_rate_a": float("inf")}],
+         {"singles_rate_a": float("inf")},
+         # True was written as true, hashing apart from 1.0; a string
+         # raised a TypeError that named no field
+         {"integration": True}, {"pair_rate": "4000"}],
     )
     def test_non_finite_count_model_writes_nothing(self, fields, tmp_path):
         # a NaN pair rate used to be written into config.json as NaN and
@@ -128,6 +141,14 @@ class TestRunConfig:
         cfg = RunConfig(count_model=CountModel(pair_rate=1e4), master_seed=3)
         back = config_from_json(config_to_json(cfg))
         assert back == cfg
+
+    def test_json_without_a_field_takes_its_default(self):
+        # a document without "omegas" raised KeyError: 'omegas'
+        doc = {"states": ["0_1"], "realisations": 1, "grid_n": 128}
+        back = config_from_json(doc)
+        assert back == RunConfig(**doc)
+        assert back.omegas == RunConfig().omegas
+        assert config_hash(back) == config_hash(RunConfig(**doc))
 
     def test_hash_stable_and_sensitive(self):
         assert config_hash(SMALL) == config_hash(RunConfig(**config_to_json(SMALL) | {}))
@@ -676,6 +697,13 @@ class TestCalibration:
             # screen count failed inside numpy with a TypeError
             ({"window": True}, "window must be a non-negative integer"),
             ({"n_screens": True}, "n_screens must be an integer >= 1"),
+            # True ran at omega = 1 with the strength written as true, or
+            # with a 1 m waist; a string raised a TypeError
+            ({"omegas": (True,)}, "turbulence strength must be finite"),
+            ({"omegas": ("0.5",)}, "turbulence strength must be finite"),
+            ({"omegas": (float("nan"),)}, "turbulence strength must be finite"),
+            ({"omegas": (-0.5,)}, "turbulence strength must be finite"),
+            ({"w0": True}, "waist w0 must be finite"),
         ],
     )
     def test_grid_and_levels_refused_before_any_screen(

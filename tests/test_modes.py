@@ -59,6 +59,10 @@ class TestGrid:
             (128, float("inf"), "pixel pitch"),
             (128, float("nan"), "pixel pitch"),
             (128, 0.0, "pixel pitch"),
+            # True was taken as a 1 m pitch; a string raised a TypeError
+            # that named no field
+            (128, True, "pixel pitch"),
+            (128, "1e-5", "pixel pitch"),
         ],
     )
     def test_non_integer_size_or_non_finite_pitch_rejected(self, n, dx, match):
@@ -68,7 +72,11 @@ class TestGrid:
     def test_numpy_integer_size_accepted(self):
         assert Grid2D(n=np.int64(128), dx=1e-5).extent == pytest.approx(1.28e-3)
 
-    @pytest.mark.parametrize("w0", [0.0, -W0, float("inf"), float("nan")])
+    # True was taken as a 1 m waist; a string or None raised a TypeError
+    # that named no field
+    @pytest.mark.parametrize(
+        "w0", [0.0, -W0, float("inf"), float("nan"), True, "1e-3", None]
+    )
     def test_bad_mode_waist_rejected(self, w0):
         with pytest.raises(ValueError, match="waist"):
             LGMode(ell=0, w0=w0)
@@ -259,6 +267,28 @@ class TestOamSpectrum:
         spec = azimuthal_spectrum(f, (-2, 2))
         with pytest.raises(KeyError):
             spec.power(7)
+
+    # True was read as 1; the others failed inside numpy
+    @pytest.mark.parametrize(
+        "ell_range, n_angles, match",
+        [
+            ((0, True), 256, "ell_max must be an integer"),
+            ((-2.5, 2), 256, "ell_min must be an integer"),
+            ((-2, 2), 64.0, "n_angles must be an integer"),
+        ],
+    )
+    def test_non_integer_range_or_angles_rejected(self, ell_range, n_angles, match):
+        f = lg_field(LGMode(ell=1, w0=W0), workhorse_grid(128))
+        with pytest.raises(ValueError, match=match):
+            azimuthal_spectrum(f, ell_range, n_angles=n_angles)
+
+    # True returned the ell = 1 power; 1.5 raised numpy's IndexError
+    @pytest.mark.parametrize("ell", [True, 1.5])
+    def test_non_integer_lookup_rejected(self, ell):
+        f = lg_field(LGMode(ell=1, w0=W0), workhorse_grid(128))
+        spec = azimuthal_spectrum(f, (-2, 2))
+        with pytest.raises(ValueError, match="mode index ell must be an integer"):
+            spec.power(ell)
 
     def test_empty_range_rejected(self):
         g = workhorse_grid(128)

@@ -43,6 +43,15 @@ class TestPsd:
     def test_infinite_r0_is_quiet(self):
         assert kolmogorov_psd(1.0, np.inf) == 0.0
 
+    # True was taken as 1; a string raised a TypeError; each refusal now
+    # names r0, and infinity, which means no turbulence, stays allowed
+    @pytest.mark.parametrize("r0", [True, "0.01", float("nan"), 0.0, -1.0])
+    def test_bad_fried_parameter_rejected(self, r0):
+        with pytest.raises(ValueError, match="Fried parameter r0 must be > 0"):
+            kolmogorov_psd(1.0, r0)
+        with pytest.raises(ValueError, match="Fried parameter r0 must be > 0"):
+            TurbulenceSpec(r0=r0, grid=Grid2D(n=128, dx=1.0), seed=0)
+
     def test_infinite_frequency_is_quiet(self):
         # generate_screen gives the DC cell this frequency
         assert kolmogorov_psd(np.inf, 0.01) == 0.0
