@@ -131,10 +131,11 @@ class CountModel:
     integration: float = 1.0
 
     def __post_init__(self):
+        # Held as the floats the rule returns, so equal models hash alike.
         for name in ("pair_rate", "singles_rate_a", "singles_rate_b"):
-            _check_real(name, getattr(self, name), zero=True)
-        _check_real("gate", self.gate, high=1.0)
-        _check_real("integration", self.integration)
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), zero=True))
+        object.__setattr__(self, "gate", _check_real("gate", self.gate, high=1.0))
+        object.__setattr__(self, "integration", _check_real("integration", self.integration))
 
     @property
     def accidental_rate(self) -> float:

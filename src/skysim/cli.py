@@ -50,8 +50,6 @@ def _build_parser() -> _Parser:
     screens = sub.add_parser("screens", help="generate and store phase screens")
     screens.add_argument("--omega", type=float, required=True,
                          help="turbulence strength")
-    screens.add_argument("--ell", type=int, default=0,
-                         help="mode index setting the beam scale")
     screens.add_argument("--w0", type=float, default=None,
                          help="beam waist in metres")
     screens.add_argument("--n", type=int, default=256, help="grid side length")
@@ -162,14 +160,13 @@ def _check_screen_flags(args, parser) -> None:
 
 
 def _cmd_screens(args, parser) -> int:
-    from skysim.experiments import _draw_screen
-    from skysim.modes import make_grid
+    from skysim.experiments import _beam_grid, _draw_screen
     from skysim.turbulence import omega_to_fried, write_screen
 
     _check_screen_flags(args, parser)
     w0 = _default_w0(args.w0)
-    grid = make_grid(args.n, args.extent_factor * w0)
-    r0 = omega_to_fried(args.omega, args.ell, w0)
+    grid = _beam_grid(args.n, args.extent_factor, w0)
+    r0 = omega_to_fried(args.omega, 0, w0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for k in range(args.n_screens):
@@ -187,14 +184,13 @@ _CALIBRATION_COLUMNS = {
 
 def write_calibration_tables(out_dir, result: dict, fmt: str = "csv") -> list[Path]:
     """Persist a calibration result exactly as the CLI does."""
-    from skysim.experiments import _write_csv
+    from skysim.experiments import _write_csv, _write_json
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
-        path = out / "calibration.json"
-        path.write_text(json.dumps(result, sort_keys=True, indent=2) + "\n")
-        return [path]
+        _write_json(out / "calibration.json", result)
+        return [out / "calibration.json"]
     paths = []
     for name, header in _CALIBRATION_COLUMNS.items():
         paths.append(out / f"{name}.csv")
@@ -263,7 +259,9 @@ def _load_catalog_state(state_id: str, parser):
 
 def _emit(doc: dict, fmt: str, out_path) -> None:
     if fmt == "json":
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        from skysim.experiments import _json_text
+
+        text = _json_text(doc)
     else:
         lines = ["metric,value"]
         for key, value in doc.items():

@@ -94,15 +94,19 @@ class RunConfig:
     count_model: CountModel | None = None
 
     def __post_init__(self):
-        # Held as tuples, so a config is hashable and a generator is read once.
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "omegas", tuple(self.omegas))
-        _check_real("w0", self.w0)
-        _check_real("extent_factor", self.extent_factor)
-        _check_levels(self.n_subharmonics)
+        # Numbers are held as the plain int or float their rules return, so
+        # equal configs hash alike; tuples keep a config hashable and read a
+        # generator once.
+        def hold(name, value):
+            object.__setattr__(self, name, value)
+        hold("states", tuple(self.states))
+        hold("w0", _check_real("w0", self.w0))
+        hold("extent_factor", _check_real("extent_factor", self.extent_factor))
+        hold("n_subharmonics", _check_levels(self.n_subharmonics))
         # A grid that cannot hold a state's arm-B modes fails every
         # realisation alike, so it is refused before anything is written.
         grid = self.grid()
+        hold("grid_n", grid.n)
         known = catalog()
         for s in self.states:
             if s not in known:
@@ -113,14 +117,13 @@ class RunConfig:
             raise ValueError("need at least one state")
         if len(set(self.states)) != len(self.states):
             raise ValueError(f"duplicate state ids in {self.states}")
-        _check_integer("realisations", self.realisations, low=1)
+        hold("realisations", _check_integer("realisations", self.realisations, low=1))
         if self.mode not in ("static", "ensemble"):
             raise ValueError(f"mode must be 'static' or 'ensemble', got {self.mode}")
-        _check_integer("master seed", self.master_seed, low=0)
+        hold("master_seed", _check_integer("master seed", self.master_seed, low=0))
+        hold("omegas", tuple(map(_check_strength, self.omegas)))
         if not self.omegas:
             raise ValueError("need at least one strength")
-        for omega in self.omegas:
-            _check_strength(omega)
         dirnames = [_omega_dirname(omega) for omega in self.omegas]
         if len(set(dirnames)) != len(dirnames):
             raise ValueError(
@@ -129,28 +132,22 @@ class RunConfig:
             )
 
     def grid(self) -> Grid2D:
-        return make_grid(self.grid_n, self.extent_factor * self.w0)
+        return _beam_grid(self.grid_n, self.extent_factor, self.w0)
 
 
-def _plain(value):
-    """A numpy scalar as the Python number it equals. Numpy integers pass
-    the integer checks, but json refuses them."""
-    return value.item() if isinstance(value, np.generic) else value
+def _beam_grid(n: int, extent_factor: float, w0: float) -> Grid2D:
+    """The n x n grid extent_factor waists w0 wide, both checked by name."""
+    return make_grid(n, _check_real("extent_factor", extent_factor)
+                     * _check_real("waist w0", w0))
 
 
 def config_to_json(config: RunConfig) -> dict:
-    doc = asdict(config, dict_factory=lambda items: {k: _plain(v) for k, v in items})
-    doc["states"] = list(config.states)
-    doc["omegas"] = [float(o) for o in config.omegas]
-    return doc
+    return asdict(config)
 
 
 def config_from_json(doc: dict) -> RunConfig:
-    doc = dict(doc)
-    if "omegas" in doc:
-        doc["omegas"] = [float(o) for o in doc["omegas"]]
     if doc.get("count_model") is not None:
-        doc["count_model"] = CountModel(**doc["count_model"])
+        doc = doc | {"count_model": CountModel(**doc["count_model"])}
     return RunConfig(**doc)
 
 
@@ -174,10 +171,13 @@ def derive_seed(
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _write_json(path: Path, doc: dict) -> None:
+def _json_text(doc: dict) -> str:
     # Numpy values (the skyrmion center is the one array) go out through tolist().
-    text = json.dumps(doc, sort_keys=True, indent=2, default=lambda v: v.tolist())
-    path.write_text(text + "\n")
+    return json.dumps(doc, sort_keys=True, indent=2, default=lambda v: v.tolist()) + "\n"
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(_json_text(doc))
 
 
 def _fmt(value) -> str:
@@ -461,23 +461,22 @@ def run_calibration(
     """
     from skysim.channel import crosstalk_amplitude, survival_probability_analytic
 
-    omegas = tuple(_plain(omega) for omega in omegas)
+    omegas = tuple(map(_check_strength, omegas))
     _check_integer("n_screens", n_screens, low=1)
-    _check_integer("window", window, low=0)
+    window = _check_integer("window", window, low=0)
     _check_integer("master seed", seed, low=0)
 
-    grid = make_grid(grid_n, extent_factor * w0)
+    grid = _beam_grid(grid_n, extent_factor, w0)
     # Mode radius grows with |ell|, so these two bound the whole window;
     # an unresolvable one fails here, before any screen is drawn.
     for ell in (0, window):
         _check_resolution(LGMode(ell=ell, w0=w0), grid)
     ells = list(range(-window, window + 1))
-    # A strength that cannot be converted fails here, before any screen is drawn.
-    r0s = [omega_to_fried(omega, 0, w0) for omega in omegas]
-    if not r0s:
+    if not omegas:
         raise ValueError("need at least one strength")
     spectra_rows, survival_rows = [], []
-    for omega_idx, (omega, r0) in enumerate(zip(omegas, r0s)):
+    for omega_idx, omega in enumerate(omegas):
+        r0 = omega_to_fried(omega, 0, w0)
         powers = np.empty((n_screens, len(ells)))
         for k in range(n_screens):
             screen = _draw_screen(seed, omega_idx, k, r0, grid, n_subharmonics)
@@ -497,6 +496,4 @@ def run_calibration(
                 survival_probability_analytic(omega),
             ]
         )
-    return {
-        "spectra": spectra_rows, "survival": survival_rows, "window": _plain(window)
-    }
+    return {"spectra": spectra_rows, "survival": survival_rows, "window": window}

@@ -32,8 +32,8 @@ class SamplingError(ValueError):
 
 
 def _check_integer(name: str, value, low: int | None = None,
-                   high: int | None = None) -> None:
-    """Refuse a bool, a non-integer, or an integer outside [low, high]."""
+                   high: int | None = None) -> int:
+    """int(value); refuse a bool, a non-integer, or one outside [low, high]."""
     if (isinstance(value, bool) or not isinstance(value, Integral)
             or (low is not None and value < low)
             or (high is not None and value > high)):
@@ -44,12 +44,13 @@ def _check_integer(name: str, value, low: int | None = None,
         else:
             kind = "an integer"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def _check_real(name: str, value, high: float = np.inf, *, zero: bool = False,
-                infinite: bool = False) -> None:
-    """Refuse a bool, a non-real, NaN, or a real outside (0, high), or
-    [0, high) when zero is allowed; infinity passes only when infinite."""
+                infinite: bool = False) -> float:
+    """float(value); refuse a bool, a non-real, NaN, or a real outside (0, high),
+    or [0, high) when zero is allowed; infinity passes only when infinite."""
     if (isinstance(value, bool) or not isinstance(value, Real)
             or not (0 <= value if zero else 0 < value)
             or not (value < high or infinite and value == np.inf)):
@@ -57,12 +58,14 @@ def _check_real(name: str, value, high: float = np.inf, *, zero: bool = False,
         kind = (f"{bound} and < {high:g}" if high < np.inf
                 else f"{bound} or inf" if infinite else f"finite and {bound}")
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return float(value)
 
 
-def _check_size(n) -> None:
-    _check_integer("grid size", n, low=16)
+def _check_size(n) -> int:
+    n = _check_integer("grid size", n, low=16)
     if n % 2 != 0:
         raise ValueError(f"grid size must be an even integer >= 16, got n={n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ class Grid2D:
     dx: float
 
     def __post_init__(self):
-        _check_size(self.n)
+        object.__setattr__(self, "n", _check_size(self.n))
         _check_real("pixel pitch", self.dx)
 
     @property

@@ -114,12 +114,12 @@ def _spectral_power(f) -> np.ndarray:
     return np.asarray(f, dtype=float) ** (-11.0 / 3.0)
 
 
-def _check_strength(omega: float) -> None:
-    _check_real("turbulence strength", omega, zero=True)
+def _check_strength(omega: float) -> float:
+    return _check_real("turbulence strength", omega, zero=True)
 
 
-def _check_levels(levels: int) -> None:
-    _check_integer("n_subharmonics", levels, 0, _SUBHARMONIC_LEVELS_MAX)
+def _check_levels(levels: int) -> int:
+    return _check_integer("n_subharmonics", levels, 0, _SUBHARMONIC_LEVELS_MAX)
 
 
 def omega_to_fried(omega: float, ell: int, w0: float) -> float:

@@ -100,7 +100,8 @@ class TestExitCodes:
     def test_infinite_length_fails_before_any_screen(
         self, flag, monkeypatch, tmp_path, capsys
     ):
-        # --w0 inf used to fail inside the first screen, in kolmogorov_psd
+        # --w0 inf used to fail inside the first screen, in kolmogorov_psd,
+        # and then was refused as a pixel pitch; the refusal names the flag's field
         import skysim.experiments
 
         drawn = []
@@ -109,7 +110,8 @@ class TestExitCodes:
                 "128", flag, "inf", "--out", str(tmp_path / "out")]
         code, _, err = run_cli(argv, capsys)
         assert code == 2
-        assert "pixel pitch must be finite" in err
+        field = {"--w0": "w0", "--extent-factor": "extent_factor"}[flag]
+        assert f"{field} must be finite" in err
         assert drawn == []
         assert not (tmp_path / "out").exists()
 
@@ -141,6 +143,27 @@ class TestExitCodes:
         assert code == 2
         assert "ValueError" in err and "w0" in err
         assert not (tmp_path / "res").exists()
+
+    def test_bool_strength_config_is_runtime_error(self, tmp_path, capsys):
+        # "omegas": [true] used to run a sweep at a strength of 1
+        config = {"omegas": [True], "realisations": 1, "grid_n": 128}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(
+            ["run", "--config", str(path), "--out", str(tmp_path / "res")], capsys
+        )
+        assert code == 2
+        assert "ValueError" in err and "turbulence strength" in err
+        assert not (tmp_path / "res").exists()
+
+    def test_zero_extent_factor_names_field(self, tmp_path, capsys):
+        # skysim screens used to report a zero --extent-factor as the pixel pitch
+        argv = ["screens", "--omega", "1.0", "--n", "64", "--extent-factor", "0",
+                "--out", str(tmp_path / "out")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "extent_factor must be finite" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_runtime_error(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -58,6 +58,10 @@ class TestRunConfig:
         # a string raised a TypeError that named no field.
         with pytest.raises(ValueError, match=">= 0"):
             RunConfig(omegas=(omega,))
+        # config_from_json turned a JSON true into 1.0 and "0.5" into 0.5
+        doc = {"states": ["0_1"], "omegas": [omega], "realisations": 1, "grid_n": 128}
+        with pytest.raises(ValueError, match="turbulence strength must be finite"):
+            config_from_json(doc)
 
     @pytest.mark.parametrize("omegas", [(0.251, 0.254), (1.0, 1.0), (0.5, 1, 1.0)])
     def test_strengths_sharing_a_directory_rejected(self, omegas):
@@ -174,6 +178,12 @@ class TestRunConfig:
             ({"omegas": np.array([0.5, 1.0])}, {"omegas": (0.5, 1.0)}),
             ({"states": ["0_1"]}, {"states": ("0_1",)}),
             ({"omegas": (omega for omega in (0.5,))}, {"omegas": (0.5,)}),
+            # an int real was written as an int, so these int/float twins
+            # hashed to two directories
+            ({"w0": 1}, {"w0": 1.0}),
+            ({"extent_factor": 16}, {"extent_factor": 16.0}),
+            ({"count_model": CountModel(pair_rate=50)},
+             {"count_model": CountModel(pair_rate=50.0)}),
         ],
     )
     def test_numpy_integers_hash_like_plain_numbers(
@@ -680,8 +690,8 @@ class TestCalibration:
         "fields, match",
         [
             ({"grid_n": 128.0}, "grid size"),
-            ({"w0": float("inf")}, "pixel pitch"),
-            ({"extent_factor": float("inf")}, "pixel pitch"),
+            ({"w0": float("inf")}, "waist w0 must be finite"),
+            ({"extent_factor": float("inf")}, "extent_factor must be finite"),
             ({"n_subharmonics": 2.5}, "n_subharmonics"),
             # these two failed with a TypeError
             ({"n_screens": 2.5}, "n_screens must be an integer >= 1"),
@@ -704,6 +714,13 @@ class TestCalibration:
             ({"omegas": (float("nan"),)}, "turbulence strength must be finite"),
             ({"omegas": (-0.5,)}, "turbulence strength must be finite"),
             ({"w0": True}, "waist w0 must be finite"),
+            # True failed only as a SamplingError that named no field, and
+            # a string raised a TypeError; NaN and a negative factor were
+            # refused as a pixel pitch
+            ({"extent_factor": True}, "extent_factor must be finite"),
+            ({"extent_factor": "16"}, "extent_factor must be finite"),
+            ({"extent_factor": float("nan")}, "extent_factor must be finite"),
+            ({"extent_factor": -16.0}, "extent_factor must be finite"),
         ],
     )
     def test_grid_and_levels_refused_before_any_screen(
