@@ -9,10 +9,12 @@ Exit codes: 0 on success, 1 for usage errors (bad or missing flags),
 The SKYSIM_SEED environment variable overrides whichever seed a
 subcommand would otherwise use, which lets wrappers rerun a pinned
 configuration without editing configs; main parses it once for every
-subcommand that takes a seed.
+subcommand that takes a seed, and a seed the integer rule refuses is a
+runtime failure before anything is written.
 
-Heavy imports happen inside the handlers so that --threads can cap the
-linear-algebra thread pools before the numeric stack loads.
+The thread pools of the linear-algebra libraries are capped, as for any
+numpy program, by setting OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
+MKL_NUM_THREADS before launching; results do not depend on the count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,28 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
+
+from skysim.experiments import (
+    DEFAULT_WAIST,
+    _beam_grid,
+    _draw_screen,
+    _fmt,
+    _json_text,
+    _write_csv,
+    _write_json,
+    config_from_json,
+    run,
+    run_calibration,
+)
+from skysim.modes import _check_integer
+from skysim.states import DensityMatrix4, catalog, density_from_json, record_from_json
+from skysim.topology import skyrmion_number
+from skysim.turbulence import _check_levels, omega_to_fried, write_screen
+from skysim.witnesses import evaluate_witnesses
 
 _ENV_SEED = "SKYSIM_SEED"
 
@@ -39,18 +62,12 @@ def _build_parser() -> _Parser:
         prog="skysim",
         description="OAM biphoton turbulence simulator",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap BLAS/FFT thread pools (set before numeric imports)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     screens = sub.add_parser("screens", help="generate and store phase screens")
     screens.add_argument("--omega", type=float, required=True,
                          help="turbulence strength")
-    screens.add_argument("--w0", type=float, default=None,
+    screens.add_argument("--w0", type=float, default=DEFAULT_WAIST,
                          help="beam waist in metres")
     screens.add_argument("--n", type=int, default=256, help="grid side length")
     screens.add_argument("--extent-factor", type=float, default=16.0,
@@ -69,7 +86,7 @@ def _build_parser() -> _Parser:
     calibrate.add_argument("--n-screens", type=int, default=100)
     calibrate.add_argument("--grid-n", type=int, default=256)
     calibrate.add_argument("--extent-factor", type=float, default=16.0)
-    calibrate.add_argument("--w0", type=float, default=None)
+    calibrate.add_argument("--w0", type=float, default=DEFAULT_WAIST)
     calibrate.add_argument("--window", type=int, default=10)
     calibrate.add_argument("--n-subharmonics", type=int, default=5)
     calibrate.add_argument("--seed", type=int, default=0)
@@ -114,11 +131,6 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            parser.error(f"--threads: need at least 1 thread, got {args.threads}")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     if _ENV_SEED in os.environ and hasattr(args, "seed"):
         try:
             args.seed = int(os.environ[_ENV_SEED])
@@ -136,22 +148,13 @@ def main(argv=None) -> int:
         return 2
 
 
-def _default_w0(value):
-    if value is not None:
-        return value
-    from skysim.experiments import DEFAULT_WAIST
-
-    return DEFAULT_WAIST
-
-
-def _check_screen_flags(args, parser) -> None:
-    from skysim.modes import _check_integer
-    from skysim.turbulence import _check_levels
-
+def _check_screen_flags(args, parser, *more) -> None:
+    """A usage error naming the first flag its rule refuses: the screen
+    flags of screens and calibrate, then the handler's own rules `more`."""
     for flag, check, *rule in (
         ("--n-screens", _check_integer, "n_screens", args.n_screens, 1),
         ("--n-subharmonics", _check_levels, args.n_subharmonics),
-        ("--window", _check_integer, "window", getattr(args, "window", 0), 0),  # not on screens
+        *more,
     ):
         try:
             check(*rule)
@@ -160,17 +163,14 @@ def _check_screen_flags(args, parser) -> None:
 
 
 def _cmd_screens(args, parser) -> int:
-    from skysim.experiments import _beam_grid, _draw_screen
-    from skysim.turbulence import omega_to_fried, write_screen
-
     _check_screen_flags(args, parser)
-    w0 = _default_w0(args.w0)
-    grid = _beam_grid(args.n, args.extent_factor, w0)
-    r0 = omega_to_fried(args.omega, 0, w0)
+    grid = _beam_grid(args.n, args.extent_factor, args.w0)
+    r0 = omega_to_fried(args.omega, 0, args.w0)
+    seed = _check_integer("master seed", args.seed, low=0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for k in range(args.n_screens):
-        screen = _draw_screen(args.seed, 0, k, r0, grid, args.n_subharmonics)
+        screen = _draw_screen(seed, 0, k, r0, grid, args.n_subharmonics)
         write_screen(screen, out / f"screen-{k:04d}.skyp")
     print(f"wrote {args.n_screens} screens to {out}")
     return 0
@@ -184,8 +184,6 @@ _CALIBRATION_COLUMNS = {
 
 def write_calibration_tables(out_dir, result: dict, fmt: str = "csv") -> list[Path]:
     """Persist a calibration result exactly as the CLI does."""
-    from skysim.experiments import _write_csv, _write_json
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
@@ -209,17 +207,17 @@ def _parse_omegas(text: str, parser):
 
 
 def _cmd_calibrate(args, parser) -> int:
-    from skysim.experiments import run_calibration
-
     omegas = _parse_omegas(args.omegas, parser)
-    _check_screen_flags(args, parser)
+    _check_screen_flags(
+        args, parser, ("--window", _check_integer, "window", args.window, 0)
+    )
     result = run_calibration(
         omegas,
         n_screens=args.n_screens,
         seed=args.seed,
         grid_n=args.grid_n,
         extent_factor=args.extent_factor,
-        w0=_default_w0(args.w0),
+        w0=args.w0,
         window=args.window,
         n_subharmonics=args.n_subharmonics,
     )
@@ -230,10 +228,6 @@ def _cmd_calibrate(args, parser) -> int:
 
 
 def _cmd_run(args, parser) -> int:
-    from dataclasses import replace
-
-    from skysim.experiments import config_from_json, run
-
     config_path = Path(args.config)
     if not config_path.exists():
         raise FileNotFoundError(f"config file {config_path} does not exist")
@@ -246,8 +240,6 @@ def _cmd_run(args, parser) -> int:
 
 
 def _load_catalog_state(state_id: str, parser):
-    from skysim.states import catalog
-
     cat = catalog()
     if state_id not in cat:
         parser.error(
@@ -257,26 +249,27 @@ def _load_catalog_state(state_id: str, parser):
     return cat[state_id]
 
 
-def _emit(doc: dict, fmt: str, out_path) -> None:
-    if fmt == "json":
-        from skysim.experiments import _json_text
-
-        text = _json_text(doc)
-    else:
-        lines = ["metric,value"]
-        for key, value in doc.items():
-            lines.append(f"{key},{value}")
-        text = "\n".join(lines) + "\n"
+def _write_out(text: str, out_path) -> None:
+    """Write text to the --out file if one is given, else to stdout."""
     if out_path:
         Path(out_path).write_text(text)
     else:
         sys.stdout.write(text)
 
 
+def _emit(doc: dict, fmt: str, out_path) -> None:
+    if fmt == "json":
+        text = _json_text(doc)
+    else:
+        lines = ["metric,value"]
+        for key, value in doc.items():
+            lines.append(f"{key},{value}")
+        text = "\n".join(lines) + "\n"
+    _write_out(text, out_path)
+
+
 def _load_density(density_path):
     """Accept a bare density document or any run artifact nesting one."""
-    from skysim.states import density_from_json
-
     path = Path(density_path)
     if not path.exists():
         raise FileNotFoundError(f"density file {path} does not exist")
@@ -287,9 +280,6 @@ def _load_density(density_path):
 
 
 def _cmd_topology(args, parser) -> int:
-    from skysim.states import DensityMatrix4
-    from skysim.topology import skyrmion_number
-
     state = _load_catalog_state(args.state, parser)
     if args.density is not None:
         rho = _load_density(args.density)
@@ -308,11 +298,6 @@ def _cmd_topology(args, parser) -> int:
 
 
 def _cmd_witness(args, parser) -> int:
-    from dataclasses import asdict
-
-    from skysim.states import DensityMatrix4
-    from skysim.witnesses import evaluate_witnesses
-
     state = _load_catalog_state(args.state, parser)
     rho = _load_density(args.density)
     report = evaluate_witnesses(rho, DensityMatrix4.from_pure(state))
@@ -364,10 +349,6 @@ def _summary_tables(run_dir: Path) -> list[str]:
 
 def _contrast_table(run_dir: Path) -> str | None:
     """Quantum contrast per strength, from stored counts records."""
-    import numpy as np
-
-    from skysim.states import record_from_json
-
     groups: dict[tuple[str, str], list[float]] = {}
     for path in sorted(run_dir.glob("*/omega-*/realisation-*.json")):
         doc = json.loads(path.read_text())
@@ -397,8 +378,6 @@ def _contrast_table(run_dir: Path) -> str | None:
 def _calibration_tables(results_dir: Path) -> list[str]:
     """Tables of calibration.json, its numbers formatted as the CSV files
     hold them, or else of the CSV files present."""
-    from skysim.experiments import _fmt
-
     path = results_dir / "calibration.json"
     doc = json.loads(path.read_text()) if path.exists() else None
     calibration = {}
@@ -451,11 +430,7 @@ def _cmd_report(args, parser) -> int:
         raise FileNotFoundError(
             f"no summary.csv or calibration tables under {results_dir}"
         )
-    text = "\n".join(tables)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_out("\n".join(tables), args.out)
     return 0
 
 

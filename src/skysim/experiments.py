@@ -212,17 +212,19 @@ def _write_manifest(run_dir: Path, cfg_hash: str, incomplete: list[str]) -> None
 
 def _evaluate(
     head: dict,
-    body: dict,
-    rho: DensityMatrix4,
+    realise,
     state: BipartitePureState,
     target: DensityMatrix4,
 ) -> dict:
-    """head and body with the witnesses, then the wrapping number, of rho.
+    """head and the body realise() returns with the witnesses, then the
+    wrapping number, of the density it returns with it.
 
     A degenerate field gives a null number; its witnesses, evaluated
-    first, are kept. Any other failure makes head an error document.
+    first, are kept. Any other failure, realise()'s own included, makes
+    head an error document.
     """
     try:
+        body, rho = realise()
         report = evaluate_witnesses(rho, target)
         try:
             number, details = skyrmion_number(rho, state, return_details=True)
@@ -232,6 +234,12 @@ def _evaluate(
         return _error_doc(head, exc)
     skyrmion = {"number": number, **details}
     return {**head, **body, "witnesses": asdict(report), "skyrmion": skyrmion}
+
+
+def _average(members: list) -> tuple[dict, DensityMatrix4]:
+    """The ensemble.json body and the density of the average of members."""
+    rho = ensemble_average([rho for _, rho in members])
+    return {"density": density_to_json(rho)}, rho
 
 
 def _witness_values(doc: dict) -> list:
@@ -303,7 +311,8 @@ def run(config: RunConfig, results_root) -> Path:
     strength's realisations, whose document is ensemble.json (with one
     realisation this is exactly the static pipeline). In both modes a
     failed realisation or evaluation leaves an error document, listed as
-    incomplete and left out of the average and the tables. The tables
+    incomplete and left out of the average and the tables; so does the
+    average of a strength with no surviving realisation. The tables
     are read from the evaluated documents, rows by state, then strength,
     then realisation; the manifest is last.
     """
@@ -328,7 +337,7 @@ def run(config: RunConfig, results_root) -> Path:
                 if rho is not None and not ensemble:
                     head = {"state": doc["state"], "omega": omega, "realisation": k}
                     body = {**doc, "renormalization": renormalization}
-                    doc = _evaluate(head, body, rho, states[i], targets[i])
+                    doc = _evaluate(head, lambda: (body, rho), states[i], targets[i])
                 _write_json(omega_dirs[i] / f"realisation-{k}.json", doc)
                 if "incomplete" in doc:
                     incomplete.append(f"{doc['state']}/{_omega_dirname(omega)}/{k}")
@@ -336,12 +345,10 @@ def run(config: RunConfig, results_root) -> Path:
                     members[i].append((doc, rho))
         for i, (state_id, done) in enumerate(zip(config.states, members)):
             evaluated = [(doc["realisation"], doc) for doc, _ in done]
-            if ensemble and done:
-                rho = ensemble_average([rho for _, rho in done])
+            if ensemble:
                 seeds = [d["record"]["provenance"]["seed"] for d, _ in done]
                 head = dict(state=state_id, omega=omega, n=len(done), seeds=seeds)
-                body = {"density": density_to_json(rho)}
-                doc = _evaluate(head, body, rho, states[i], targets[i])
+                doc = _evaluate(head, lambda: _average(done), states[i], targets[i])
                 if "incomplete" in doc:
                     incomplete.append(f"{state_id}/{_omega_dirname(omega)}/ensemble")
                     evaluated = []

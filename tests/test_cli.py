@@ -198,6 +198,32 @@ class TestExitCodes:
         assert "SKYSIM_SEED must be an integer" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["own", "env"])
+    @pytest.mark.parametrize("command", ["screens", "calibrate", "run"])
+    def test_negative_seed_is_runtime_error(
+        self, command, source, monkeypatch, tmp_path, capsys
+    ):
+        # the command's own seed (--seed, or run's config) or SKYSIM_SEED;
+        # skysim screens used to create --out and then fail in numpy with a
+        # message that named no field
+        seed = "-1" if source == "own" else "0"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"states": ["0_1"], "omegas": [0.5],
+                                      "realisations": 1, "grid_n": 128,
+                                      "master_seed": int(seed)}))
+        argv = {
+            "screens": ["screens", "--omega", "0.5", "--n", "64", "--seed", seed],
+            "calibrate": ["calibrate", "--omegas", "0.5", "--n-screens", "1",
+                          "--grid-n", "128", "--seed", seed],
+            "run": ["run", "--config", str(config)],
+        }[command]
+        if source == "env":
+            monkeypatch.setenv("SKYSIM_SEED", "-1")
+        code, _, err = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert "master seed must be a non-negative integer, got -1" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestScreens:
     def test_writes_requested_screens(self, tmp_path, capsys):
@@ -402,27 +428,6 @@ class TestTopologyCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["number"] == pytest.approx(2.0, abs=0.05)
-
-
-class TestThreads:
-    VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-    def test_caps_every_pool(self, monkeypatch, capsys):
-        for var in self.VARIABLES:
-            monkeypatch.setenv(var, "7")
-        code, _, _ = run_cli(["--threads", "2", "topology", "--state", "0_1"], capsys)
-        assert code == 0
-        assert [os.environ[var] for var in self.VARIABLES] == ["2", "2", "2"]
-
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_below_one_is_usage_error(self, value, monkeypatch, capsys):
-        for var in self.VARIABLES:
-            monkeypatch.setenv(var, "7")
-        with pytest.raises(SystemExit) as err:
-            main(["--threads", value, "topology", "--state", "0_1"])
-        assert err.value.code == 1
-        assert "--threads" in capsys.readouterr().err
-        assert [os.environ[var] for var in self.VARIABLES] == ["7", "7", "7"]
 
 
 class TestWitnessCommand:

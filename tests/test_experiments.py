@@ -304,6 +304,30 @@ class TestStaticRun:
 
 
 class TestFailureCapture:
+    def test_strength_without_members_leaves_error_average(self, tmp_path):
+        # every realisation at omega 40 fails; its average used to leave no
+        # ensemble.json and no manifest entry
+        cfg = RunConfig(
+            states=("0_1",), omegas=(0.5, 40.0), realisations=2, grid_n=128,
+            mode="ensemble",
+        )
+        run_dir = run_ensemble(cfg, tmp_path)
+        doc = json.loads(
+            (run_dir / "0_1" / "omega-40.00" / "ensemble.json").read_text()
+        )
+        assert doc == {
+            "state": "0_1", "omega": 40.0, "n": 0, "seeds": [],
+            "error": "ValueError: cannot average an empty ensemble", "incomplete": True,
+        }
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert "0_1/omega-40.00/ensemble.json" in manifest["artifacts"]
+        assert manifest["incomplete"] == [
+            "0_1/omega-40.00/0", "0_1/omega-40.00/1", "0_1/omega-40.00/ensemble",
+        ]
+        with open(run_dir / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["omega"], r["n_ok"]) for r in rows] == [("0.5", "1"), ("40", "0")]
+
     def test_unresolvable_screen_becomes_artifact(self, tmp_path):
         cfg = RunConfig(
             states=("0_1",), omegas=(20.0,), realisations=1, grid_n=128,

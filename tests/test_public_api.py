@@ -52,13 +52,6 @@ def test_package_root_defines_only_version():
     assert isinstance(skysim.__version__, str)
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # --threads sets the thread variables in main(); they cap the pools
-    # only if numpy has not loaded by then
-    code = "import sys\nimport skysim.cli\nprint('numpy' in sys.modules)\n"
-    assert run_python(code) == "False"
-
-
 def test_sweeps_load_no_scipy(tmp_path):
     code = (
         "import sys\n"

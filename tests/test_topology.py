@@ -20,6 +20,7 @@ from skysim.topology import (
     skyrmion_number,
     spatial_density,
 )
+from skysim.witnesses import concurrence
 
 W0 = 0.9375e-3
 GRID = make_grid(256, 16 * W0)
@@ -348,6 +349,23 @@ class TestSkyrmionNumbers:
             ]
         )
         assert plaquette_sum(unit @ rot.T, keep) == pytest.approx(base, abs=1e-10)
+
+    @pytest.mark.parametrize("state_id", ["0_1", "0_1_phase", "2_3", "m2_m3", "0_m3"])
+    def test_wrapping_number_outlives_entanglement(self, state_id):
+        # For p|psi><psi| + (1 - p) I/4 the steering ellipsoid is the Bell
+        # state's shrunk by p, so det = -p^3 and the number keeps its target
+        # until p^3 reaches the rounding floor, while the concurrence
+        # max(0, (3p - 1)/2) is gone for every p <= 1/3.
+        state = catalog()[state_id]
+        for p in (1, 0.5, 1 / 3, 0.2, 0.05, 1e-3, 2e-4):
+            rho = werner(state, p)
+            number, details = skyrmion_number(rho, state, return_details=True)
+            assert number == sum(state.ells_a), p
+            assert details["det"] == pytest.approx(-(p**3), rel=1e-12), p
+            expected = max(0, (3 * p - 1) / 2)
+            assert concurrence(rho) == pytest.approx(expected, abs=1e-12), p
+        with pytest.raises(DegenerateFieldError):
+            skyrmion_number(werner(state, 5e-5), state)
 
 
 def test_closed_form_agrees_with_lattice_reference():
